@@ -294,6 +294,12 @@ def _cmd_verify_trace(argv: List[str]) -> int:
     experiments = _resolve_experiments(args.experiment)
     if experiments is None:
         return 2
+    try:
+        for exp in experiments:
+            exp.horizon(args.duration, args.warmup)
+    except ValueError as exc:
+        print(f"macaw-sim: {exc}", file=sys.stderr)
+        return 2
 
     clean = True
     for exp in experiments:
@@ -889,6 +895,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     metrics_on = args.metrics or args.metrics_out is not None
     try:
+        for exp in experiments:
+            exp.horizon(args.duration, args.warmup)
         schedule = _load_schedule(args.faults, args.chaos)
         warm_start = (
             _parse_warm_start(args.warm_start)

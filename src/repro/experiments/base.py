@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import ComparisonTable
 from repro.core.config import RunProfile, active_profile
@@ -89,10 +89,7 @@ class Experiment(ABC):
         must not depend on whether the run happened serially, in a worker
         process, or on a different machine.
         """
-        duration = duration if duration is not None else self.default_duration
-        warmup = warmup if warmup is not None else self.default_warmup
-        if warmup >= duration:
-            raise ValueError(f"warmup {warmup} must precede duration {duration}")
+        duration, warmup = self.horizon(duration, warmup)
         if profile is None:
             profile = RunProfile.current()
         digest: Optional[str] = None
@@ -112,6 +109,28 @@ class Experiment(ABC):
             spec=self.spec, table=table, checks=checks,
             seed=seed, duration=duration, warmup=warmup, digest=digest,
         )
+
+    def measurement_start(self, warmup: float) -> float:
+        """Simulated time the measured window opens: the end of warm-up."""
+        return warmup
+
+    def horizon(
+        self, duration: Optional[float] = None, warmup: Optional[float] = None
+    ) -> Tuple[float, float]:
+        """``(duration, warmup)`` with defaults filled in, validated.
+
+        Raises ValueError when the measured window would be empty, before
+        any scenario is built.
+        """
+        duration = duration if duration is not None else self.default_duration
+        warmup = warmup if warmup is not None else self.default_warmup
+        start = self.measurement_start(warmup)
+        if start >= duration:
+            raise ValueError(
+                f"{self.spec.exp_id} measures from t={start:g} s, so its "
+                f"duration must exceed that (got {duration:g} s)"
+            )
+        return duration, warmup
 
     @abstractmethod
     def _run(self, seed: int, duration: float, warmup: float) -> ComparisonTable:

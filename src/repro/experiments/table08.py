@@ -54,7 +54,7 @@ class Table8(Experiment):
             "single backoff": macaw_config(per_destination=False),
             "per-destination": macaw_config(),
         }
-        measure_from = max(warmup, POWER_OFF_AT + 20.0)
+        measure_from = self.measurement_start(warmup)
         for name, config in variants.items():
             scenario = (
                 fig9_dead_pad(config=config, seed=seed, power_off_at=POWER_OFF_AT)
@@ -65,6 +65,9 @@ class Table8(Experiment):
                 pps = scenario.throughput(stream, warmup=measure_from)
                 table.add(name, stream, pps, PAPER[name].get(stream))
         return table
+
+    def measurement_start(self, warmup: float) -> float:
+        return max(warmup, POWER_OFF_AT + 20.0)
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
         single = [table.value("single backoff", s) for s in STREAMS]

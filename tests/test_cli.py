@@ -103,6 +103,23 @@ def test_invalid_seeds_value_returns_2(capsys):
     assert main(["table9", "--seeds", "0"]) == 2
 
 
+def _usage_error_line(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("macaw-sim: ") and "\n" not in err, err
+    return err
+
+
+def test_table8_horizon_before_its_measurement_start_returns_2(capsys):
+    # Table 8 measures from t=120 s whatever --duration says.
+    assert main(["table8", "--duration", "60"]) == 2
+    assert "t=120 s" in _usage_error_line(capsys)
+
+
+def test_warmup_past_duration_returns_2(capsys):
+    assert main(["table2", "--duration", "5", "--warmup", "10"]) == 2
+    assert "t=10 s" in _usage_error_line(capsys)
+
+
 def test_jobs_flag_produces_identical_output_to_serial(capsys):
     argv = ["table9", "--duration", "30", "--warmup", "5",
             "--seeds", "0,1", "--digest"]

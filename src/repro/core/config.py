@@ -17,13 +17,12 @@ Two frozen dataclasses live here:
   ``per_destination``    per-destination backoff (App. B.2)         Table 8
   =====================  =========================================  =========
 
-* :class:`RunProfile` — every *run-level* knob that used to sprawl
-  across ``ScenarioBuilder.__init__`` keyword arguments (tracing,
-  sanitizing, metrics, timing, queue capacity, bitrate, grid parameters,
-  fault schedule).  One profile object flows unchanged through
-  ``ScenarioBuilder``, ``Experiment.run``/``run_seeds`` and
-  ``runner.run_cells``, and :meth:`RunProfile.digest` is what the result
-  cache folds into its keys instead of ad-hoc config tuples.
+* :class:`RunProfile` — every *run-level* knob (tracing, sanitizing,
+  metrics, timing, queue capacity, bitrate, grid parameters, fault
+  schedule), and the only place to set one.  One profile object flows
+  unchanged through ``ScenarioBuilder``, ``Experiment.run``/``run_seeds``
+  and ``runner.run_cells``, and :meth:`RunProfile.digest` is what the
+  result cache folds into its keys instead of ad-hoc config tuples.
 
 The :func:`active_profile` context manager provides the ambient-profile
 hook (mirroring ``verify.runtime.sanitized`` and ``obs.runtime
@@ -37,10 +36,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.obs.runtime import MetricsConfig
 
@@ -399,9 +397,9 @@ def active_profile(profile: RunProfile) -> Iterator[RunProfile]:
     """Make ``profile`` ambient for a block.
 
     Builders constructed inside the block without an explicit
-    ``profile=`` argument (and without legacy kwargs) adopt it — how one
-    CLI-constructed profile reaches every scenario an experiment driver
-    builds, serially or inside pool workers.
+    ``profile=`` argument adopt it — how one CLI-constructed profile
+    reaches every scenario an experiment driver builds, serially or
+    inside pool workers.
     """
     global _ambient_profile
     if not isinstance(profile, RunProfile):
@@ -412,32 +410,3 @@ def active_profile(profile: RunProfile) -> Iterator[RunProfile]:
         yield profile
     finally:
         _ambient_profile = previous
-
-
-# ------------------------------------------------------------ deprecation
-#: Legacy-kwarg warnings already emitted this process (warn once each).
-_warned_kwargs: Set[str] = set()
-
-
-def warn_deprecated_kwarg(owner: str, name: str) -> None:
-    """Emit one DeprecationWarning per (owner, kwarg) per process.
-
-    The legacy keyword surface keeps working identically — the warning
-    only points callers at the consolidated :class:`RunProfile`.
-    """
-    key = f"{owner}.{name}"
-    if key in _warned_kwargs:
-        return
-    _warned_kwargs.add(key)
-    warnings.warn(
-        f"{owner}({name}=...) is deprecated; pass "
-        f"profile=RunProfile({name}=...) instead "
-        f"(RunProfile is re-exported by the repro.api facade)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which legacy kwargs warned (test hook for warn-once checks)."""
-    _warned_kwargs.clear()

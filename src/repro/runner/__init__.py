@@ -12,7 +12,6 @@ from repro.runner.cache import (
     DEFAULT_CACHE_DIR,
     ResultCache,
     code_version,
-    config_hash,
     profile_hash,
 )
 from repro.runner.cells import Cell, CellResult, expand_cells
@@ -25,7 +24,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "code_version",
-    "config_hash",
     "execute_cell",
     "expand_cells",
     "profile_hash",

@@ -8,8 +8,7 @@ against the committed ``benchmarks/BENCH_engine.json``:
 * ``python -m repro.runner.bench`` runs the benches on one backend
   (``--queue``, default heap) and prints a table;
 * ``--write`` refreshes the baseline in place (run on a quiet machine):
-  every registered backend gets its own section under ``backends``, and
-  the heap numbers are mirrored into the legacy ``benchmarks`` block;
+  every registered backend gets its own section under ``backends``;
 * ``--check`` re-runs the matrix and fails (exit 1) when any bench on
   any backend falls more than ``tolerance`` (default 25%) below its own
   committed section — the CI regression gate.  The benches run with
@@ -117,7 +116,7 @@ def _bench_single_stream(queue: Optional[str] = None) -> int:
     from repro.topo.figures import single_stream_cell
 
     builder = single_stream_cell(protocol="macaw", seed=1)
-    builder.queue = queue
+    builder.profile = builder.profile.but(queue=queue)
     return builder.build().run(100.0).sim.events_fired
 
 
@@ -126,7 +125,7 @@ def _bench_six_pad(queue: Optional[str] = None) -> int:
     from repro.topo.figures import fig3_six_pads
 
     builder = fig3_six_pads(protocol="macaw", seed=1)
-    builder.queue = queue
+    builder.profile = builder.profile.but(queue=queue)
     return builder.build().run(100.0).sim.events_fired
 
 
@@ -135,7 +134,7 @@ def _bench_office_cell(queue: Optional[str] = None) -> int:
     from repro.topo.figures import fig11_office
 
     builder = fig11_office(protocol="macaw", seed=1)
-    builder.queue = queue
+    builder.profile = builder.profile.but(queue=queue)
     return builder.build().run(60.0).sim.events_fired
 
 
@@ -197,7 +196,7 @@ def measure_metrics_overhead(repeats: int = DEFAULT_REPEATS) -> Dict[str, Dict[s
 
     def run(metrics: object) -> int:
         builder = fig3_six_pads(protocol="macaw", seed=1)
-        builder.metrics = metrics
+        builder.profile = builder.profile.but(metrics=metrics)
         return builder.build().run(100.0).sim.events_fired
 
     results = _timed_rows(
@@ -333,15 +332,13 @@ def load_baseline(path: Path) -> Dict:
 
 def write_baseline(
     path: Path,
-    results: Dict[str, Dict[str, float]],
-    backends: Optional[Dict[str, Dict[str, Dict[str, float]]]] = None,
+    backends: Dict[str, Dict[str, Dict[str, float]]],
     warm_start: Optional[Dict[str, Dict[str, float]]] = None,
     sweep: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> None:
     """Write the measured baseline, preserving any frozen ``pre_pr`` block.
 
-    ``results`` fills the legacy ``benchmarks`` block (the heap numbers);
-    ``backends`` adds the per-backend matrix the ``--check`` gate walks.
+    ``backends`` is the per-backend matrix the ``--check`` gate walks.
     ``warm_start`` and ``sweep`` record informational sections — the
     checkpoint-restore speedup and the adaptive-vs-fixed seed-allocation
     savings — never gated (``check_against`` does not walk them).
@@ -350,11 +347,11 @@ def write_baseline(
         "schema": 2,
         "tolerance": DEFAULT_TOLERANCE,
         "note": (
-            "Engine micro-benchmark baseline. 'benchmarks' mirrors the heap "
-            "backend and 'backends' holds one section per event-queue "
-            "backend; both are refreshed by `python -m repro.runner.bench "
-            "--write`. 'pre_pr' is the frozen pre-optimization reference "
-            "and is never rewritten. 'warm_start' records the informational "
+            "Engine micro-benchmark baseline. 'backends' holds one section "
+            "per event-queue backend, refreshed by `python -m "
+            "repro.runner.bench --write`. 'pre_pr' is the frozen "
+            "pre-optimization reference and is never rewritten. "
+            "'warm_start' records the informational "
             "checkpoint-restore speedup (six-pad cell, snapshot at t=50 of "
             "100) and 'sweep' the adaptive-vs-fixed seed-allocation savings "
             "(table2 via the service orchestrator); neither is gated by "
@@ -371,9 +368,7 @@ def write_baseline(
             data["pre_pr"] = previous["pre_pr"]
         if "tolerance" in previous:
             data["tolerance"] = previous["tolerance"]
-    data["benchmarks"] = results
-    if backends is not None:
-        data["backends"] = backends
+    data["backends"] = backends
     if warm_start is not None:
         data["warm_start"] = warm_start
     elif "warm_start" in previous:
@@ -391,20 +386,16 @@ def write_baseline(
 def check_against(
     baseline: Dict,
     results: Dict[str, Dict[str, float]],
-    backend: Optional[str] = None,
+    backend: str,
 ) -> List[str]:
     """Regression messages; empty when every bench is within tolerance.
 
-    With ``backend`` given, results are compared against that backend's
-    section of the committed matrix (falling back to the legacy
-    ``benchmarks`` block when the section does not exist yet).
+    ``results`` are compared against ``backend``'s section of the
+    committed matrix; benches the section does not list are skipped.
     """
     tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
-    committed = baseline.get("benchmarks", {})
-    if backend is not None:
-        committed = baseline.get("backends", {}).get(backend, committed)
+    committed = baseline.get("backends", {}).get(backend, {})
     failures: List[str] = []
-    label = f"[{backend}] " if backend else ""
     for name, current in results.items():
         reference = committed.get(name)
         if reference is None:
@@ -412,7 +403,7 @@ def check_against(
         floor = reference["events_per_sec"] * (1.0 - tolerance)
         if current["events_per_sec"] < floor:
             failures.append(
-                f"{label}{name}: {current['events_per_sec']:,.0f} events/sec "
+                f"[{backend}] {name}: {current['events_per_sec']:,.0f} events/sec "
                 f"is below {floor:,.0f} (baseline "
                 f"{reference['events_per_sec']:,.0f} - {tolerance:.0%} "
                 "tolerance)"
@@ -562,10 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for label, row in sweep_rows.items():
                 print(f"   {label}: {row['cells']:.0f} cells, "  # repro-lint: allow=REPRO107 (bench CLI output)
                       f"{row['wall_s']:.3f}s")
-            write_baseline(
-                path, matrix.get("heap", {}), backends=matrix,
-                warm_start=warm_rows, sweep=sweep_rows,
-            )
+            write_baseline(path, matrix, warm_start=warm_rows, sweep=sweep_rows)
             print(f"baseline written to {path}")  # repro-lint: allow=REPRO107 (bench CLI output)
             return 0
         try:

@@ -7,12 +7,12 @@ one table is being worked on.  The cache stores each finished
 
     sha256(exp_id, seed, duration, warmup, config-hash, code-version)
 
-where *config-hash* folds in every runtime knob that changes results
-(currently: sanitize mode and digest collection, which force-enable
-tracing) and *code-version* is a content hash over every ``repro/*.py``
-source file.  Any edit to the simulator therefore invalidates every entry
-— stale physics can never leak into a table — while re-running an
-untouched tree is pure cache hits.
+where *config-hash* (:func:`profile_hash`) folds in the run's
+:class:`~repro.core.config.RunProfile` digest and digest collection
+(which force-enables tracing) and *code-version* is a content hash over
+every ``repro/*.py`` source file.  Any edit to the simulator therefore
+invalidates every entry — stale physics can never leak into a table —
+while re-running an untouched tree is pure cache hits.
 
 The cache is advisory: unreadable or unpicklable entries count as misses,
 and writes go through an atomic rename so a crashed run never leaves a
@@ -93,30 +93,12 @@ def code_version() -> str:
     return _code_version_memo
 
 
-def config_hash(sanitize: bool, collect_digests: bool,
-                metrics_interval: Optional[float] = None) -> str:
-    """Hash of the runtime knobs that alter a cell's observable result.
-
-    ``metrics_interval`` joins the blob only when set, so keys from
-    metric-less sweeps are unchanged across versions — but a metrics
-    sweep can never be served a cached result without its series.
-    """
-    knobs: dict = {"sanitize": sanitize, "collect_digests": collect_digests}
-    if metrics_interval is not None:
-        knobs["metrics_interval"] = metrics_interval
-    blob = json.dumps(knobs, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def profile_hash(profile: "RunProfile", collect_digests: bool) -> str:
     """Config hash of a full :class:`~repro.core.config.RunProfile`.
 
     The profile's own :meth:`~repro.core.config.RunProfile.digest` covers
     every result-affecting knob (sanitize, metrics, faults, timing, …);
-    only digest collection lives outside it.  This supersedes
-    :func:`config_hash` — which remains for callers that predate profiles
-    — and intentionally produces a different key space, so pre-profile
-    cache entries are never served to profile-keyed requests.
+    only digest collection lives outside it.
     """
     blob = json.dumps(
         {"profile": profile.digest(), "collect_digests": collect_digests},

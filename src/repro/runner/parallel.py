@@ -29,7 +29,7 @@ import multiprocessing
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.config import RunProfile, WarmStart, warn_deprecated_kwarg
+from repro.core.config import RunProfile, WarmStart
 from repro.experiments.registry import get_experiment
 from repro.obs.runtime import collecting, resolve_metrics
 from repro.runner.cache import ResultCache, profile_hash
@@ -95,8 +95,6 @@ def run_cells(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     collect_digests: bool = False,
-    sanitize: Optional[bool] = None,
-    metrics_interval: Optional[float] = None,
     profile: Optional[RunProfile] = None,
     warm_start: Optional[WarmStart] = None,
 ) -> List[CellResult]:
@@ -134,10 +132,6 @@ def run_cells(
         into the cache key — so warm results never collide with cold
         ones.  Results are byte-identical to cold runs by the snapshot
         subsystem's restore invariant.
-    sanitize, metrics_interval:
-        Deprecated spellings of ``profile.sanitize`` /
-        ``profile.metrics``; each folds into the profile and warns once
-        per process.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs!r}")
@@ -145,12 +139,6 @@ def run_cells(
         profile = RunProfile.current()
     if warm_start is not None:
         profile = profile.but(warm_start=warm_start)
-    if sanitize is not None:
-        warn_deprecated_kwarg("run_cells", "sanitize")
-        profile = profile.but(sanitize=sanitize)
-    if metrics_interval is not None:
-        warn_deprecated_kwarg("run_cells", "metrics_interval")
-        profile = profile.but(metrics=metrics_interval)
     # Pin ambient resolution in the parent: workers must not re-consult
     # environment blocks they never entered.
     pinned = profile.but(

@@ -28,7 +28,6 @@ from repro.core.config import (
     MACAW_CONFIG,
     RunProfile,
     ambient_profile,
-    warn_deprecated_kwarg,
 )
 from repro.core.macaw import MacawMac
 from repro.mac.base import BaseMac
@@ -179,14 +178,6 @@ class _StationSpec:
     config: Optional[Any]
 
 
-#: Keyword arguments the builder accepted before :class:`RunProfile`
-#: consolidated them; each still works, warning once per process.
-_LEGACY_KWARGS = (
-    "bitrate_bps", "trace", "grid_kwargs", "queue_capacity",
-    "timing", "sanitize", "metrics", "faults",
-)
-
-
 class ScenarioBuilder:
     """Collects an experiment description; ``build()`` wires it together.
 
@@ -208,13 +199,8 @@ class ScenarioBuilder:
         :class:`~repro.core.config.RunProfile`.  Omitted, the builder
         adopts the ambient profile
         (:func:`~repro.core.config.active_profile`) or plain defaults.
-
-    The pre-profile keyword arguments (``bitrate_bps``, ``trace``,
-    ``grid_kwargs``, ``queue_capacity``, ``timing``, ``sanitize``,
-    ``metrics``, ``faults``) still work identically — each folds into the
-    profile and emits one :class:`DeprecationWarning` per process.  The
-    knobs also remain readable/assignable as builder attributes
-    (``builder.metrics = 2.0``), backed by the profile.
+        To change one knob on an existing builder, replace the profile:
+        ``builder.profile = builder.profile.but(trace=True)``.
     """
 
     def __init__(
@@ -224,16 +210,9 @@ class ScenarioBuilder:
         protocol: str = "macaw",
         config: Optional[Any] = None,
         profile: Optional[RunProfile] = None,
-        **legacy: Any,
     ) -> None:
         if medium not in ("graph", "grid"):
             raise ValueError(f"medium must be 'graph' or 'grid', got {medium!r}")
-        unknown = set(legacy) - set(_LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"ScenarioBuilder() got unexpected keyword argument(s) "
-                f"{', '.join(sorted(unknown))}"
-            )
         if profile is not None and not isinstance(profile, RunProfile):
             raise TypeError(f"profile expects a RunProfile, got {profile!r}")
         self.seed = seed
@@ -242,90 +221,11 @@ class ScenarioBuilder:
         self.config = config
         base = profile if profile is not None else ambient_profile()
         self.profile = base if base is not None else RunProfile()
-        for name in _LEGACY_KWARGS:
-            if name in legacy:
-                warn_deprecated_kwarg("ScenarioBuilder", name)
-                self.profile = self.profile.but(**{name: legacy[name]})
         self._stations: List[_StationSpec] = []
         self._links: List[Tuple[str, str, bool]] = []
         self._streams: List[Tuple[str, Dict[str, Any]]] = []
         self._noise: List[PacketErrorModel] = []
         self._events: List[Tuple[float, Callable[[Scenario], None]]] = []
-
-    # ------------------------------------------------- profile-backed knobs
-    # The legacy attribute surface: reads and writes go through the
-    # (immutable) profile so ``builder.metrics = 2.0`` keeps working.
-    @property
-    def bitrate_bps(self) -> float:
-        return self.profile.bitrate_bps
-
-    @bitrate_bps.setter
-    def bitrate_bps(self, value: float) -> None:
-        self.profile = self.profile.but(bitrate_bps=value)
-
-    @property
-    def trace(self) -> bool:
-        return self.profile.trace
-
-    @trace.setter
-    def trace(self, value: bool) -> None:
-        self.profile = self.profile.but(trace=value)
-
-    @property
-    def sanitize(self) -> Optional[bool]:
-        return self.profile.sanitize
-
-    @sanitize.setter
-    def sanitize(self, value: Optional[bool]) -> None:
-        self.profile = self.profile.but(sanitize=value)
-
-    @property
-    def metrics(self) -> Any:
-        return self.profile.metrics
-
-    @metrics.setter
-    def metrics(self, value: Any) -> None:
-        self.profile = self.profile.but(metrics=value)
-
-    @property
-    def grid_kwargs(self) -> Dict[str, Any]:
-        return self.profile.grid_dict()
-
-    @grid_kwargs.setter
-    def grid_kwargs(self, value: Optional[Dict[str, Any]]) -> None:
-        self.profile = self.profile.but(grid_kwargs=value)
-
-    @property
-    def queue_capacity(self) -> Optional[int]:
-        return self.profile.queue_capacity
-
-    @queue_capacity.setter
-    def queue_capacity(self, value: Optional[int]) -> None:
-        self.profile = self.profile.but(queue_capacity=value)
-
-    @property
-    def timing(self) -> Optional[MacTiming]:
-        return self.profile.timing
-
-    @timing.setter
-    def timing(self, value: Optional[MacTiming]) -> None:
-        self.profile = self.profile.but(timing=value)
-
-    @property
-    def faults(self) -> Optional[Any]:
-        return self.profile.faults
-
-    @faults.setter
-    def faults(self, value: Optional[Any]) -> None:
-        self.profile = self.profile.but(faults=value)
-
-    @property
-    def queue(self) -> Optional[str]:
-        return self.profile.queue
-
-    @queue.setter
-    def queue(self, value: Optional[str]) -> None:
-        self.profile = self.profile.but(queue=value)
 
     # ------------------------------------------------------------- stations
     def add_station(
@@ -432,7 +332,7 @@ class ScenarioBuilder:
             return MacawMac(
                 sim, medium, spec.name, position=spec.position,
                 config=config if config is not None else MACAW_CONFIG,
-                timing=timing, queue_capacity=self.queue_capacity,
+                timing=timing, queue_capacity=self.profile.queue_capacity,
             )
         if protocol == "maca":
             # Imported here: repro.mac deliberately does not import maca at
@@ -442,13 +342,13 @@ class ScenarioBuilder:
             return MacaMac(
                 sim, medium, spec.name, position=spec.position,
                 config=config if config is not None else MACA_CONFIG,
-                timing=timing, queue_capacity=self.queue_capacity,
+                timing=timing, queue_capacity=self.profile.queue_capacity,
             )
         if protocol == "csma":
             return CsmaMac(
                 sim, medium, spec.name, position=spec.position,
                 config=config if config is not None else CsmaConfig(),
-                timing=timing, queue_capacity=self.queue_capacity,
+                timing=timing, queue_capacity=self.profile.queue_capacity,
             )
         if protocol == "polling":
             from repro.mac.polling import (
@@ -461,7 +361,7 @@ class ScenarioBuilder:
             return cls(
                 sim, medium, spec.name, position=spec.position,
                 config=config if config is not None else PollingConfig(),
-                timing=timing, queue_capacity=self.queue_capacity,
+                timing=timing, queue_capacity=self.profile.queue_capacity,
             )
         raise ValueError(f"unknown protocol {protocol!r}")
 

@@ -27,10 +27,10 @@ from repro.topo.builder import ScenarioBuilder
 BASE_HEIGHT_FT = 6.0
 
 
-def _builder(protocol: str, config: Optional[Any], seed: int, medium: str = "graph",
-             **kwargs: Any) -> ScenarioBuilder:
+def _builder(protocol: str, config: Optional[Any], seed: int,
+             medium: str = "graph") -> ScenarioBuilder:
     return ScenarioBuilder(seed=seed, medium=medium, protocol=protocol,
-                           config=config, **kwargs)
+                           config=config)
 
 
 # --------------------------------------------------------------- Figure 1

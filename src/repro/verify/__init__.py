@@ -8,8 +8,7 @@ Two independent layers keep the reproduction honest:
   replays a :class:`repro.sim.trace.Trace` and flags illegal state
   transitions, CTS-without-RTS, DATA-without-DS, ACK/ESN sequence
   violations, overlapping transmissions and non-monotonic clocks.
-* **Static analysis** (:mod:`repro.verify.analysis`, with
-  :mod:`repro.verify.lint` as its legacy compat shim) — a pluggable
+* **Static analysis** (:mod:`repro.verify.analysis`) — a pluggable
   two-pass AST engine enforcing the rules that make a single seed
   reproduce an entire run (no ``random.*`` or wall-clock calls in model
   code, no mutable default arguments, no mutation of the kernel clock)
@@ -32,9 +31,6 @@ from repro.verify.conformance import (
     check_trace,
     profile_for_mac,
 )
-# repro.verify.lint is deliberately NOT imported here: it is a module-level
-# tool (`python -m repro.verify.lint`), and importing it from the package
-# __init__ would trigger the runpy double-import warning on every run.
 from repro.verify.runtime import (
     SanitizeStats,
     force_sanitize,

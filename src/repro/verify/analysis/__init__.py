@@ -10,16 +10,14 @@ A pluggable two-pass AST framework replacing the PR 1 flat linter:
   plugins (:mod:`~repro.verify.analysis.rules`) per file against facts
   plus index, then applies ``# repro-lint: allow=`` pragmas and sorts.
 
-Rules REPRO101-108 are byte-identical ports of the legacy pass (which
-survives as the :mod:`repro.verify.lint` compat shim); REPRO110-113 add
-cross-module layering, frozen-mutation, order-sensitive-iteration, and
-callback-discipline checks.  See ``DESIGN.md`` §10 and
-``python -m repro.verify.analysis --list-rules``.
+Rules REPRO101-108 are per-file determinism and hygiene checks;
+REPRO110 and up add cross-module layering, frozen-mutation,
+order-sensitive-iteration and callback-discipline checks.  See
+``DESIGN.md`` §10 and ``macaw-sim analyze --list-rules``.
 """
 
 from repro.verify.analysis.baseline import Baseline, apply_baseline
 from repro.verify.analysis.engine import (
-    AnalysisCache,
     AnalysisRun,
     FileResult,
     analyze_paths,
@@ -29,7 +27,6 @@ from repro.verify.analysis.engine import (
 from repro.verify.analysis.findings import Finding, fingerprint_findings
 from repro.verify.analysis.project import ProjectIndex, build_index
 from repro.verify.analysis.registry import (
-    LEGACY_RULE_CODES,
     Rule,
     all_rules,
     get_rules,
@@ -38,12 +35,10 @@ from repro.verify.analysis.registry import (
 )
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisRun",
     "Baseline",
     "FileResult",
     "Finding",
-    "LEGACY_RULE_CODES",
     "ProjectIndex",
     "Rule",
     "all_rules",

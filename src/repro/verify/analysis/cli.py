@@ -1,11 +1,10 @@
 """Command-line driver: ``python -m repro.verify.analysis`` and
 ``macaw-sim analyze``.
 
-Exit codes follow the legacy linter: 0 clean (modulo baseline), 1 at
-least one non-baselined finding, 2 usage errors.  ``--jobs N`` is
-byte-identical to a serial run; ``--update-baseline`` rewrites the
-committed inventory from the current run (adds new findings, prunes
-stale entries).
+Exit codes: 0 clean (modulo baseline), 1 at least one non-baselined
+finding, 2 usage errors.  ``--update-baseline`` rewrites the committed
+inventory from the current run (adds new findings, prunes stale
+entries).
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.verify.analysis.baseline import Baseline, apply_baseline
-from repro.verify.analysis.engine import (
-    AnalysisCache,
-    analyze_paths,
-    collect_files,
-)
+from repro.verify.analysis.engine import analyze_paths, collect_files
 from repro.verify.analysis.fixes import fix_paths
 from repro.verify.analysis.output import (
     render_json,
@@ -57,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ignore any baseline file")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline from this run and exit 0")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analyze with N worker processes (default: 1)")
-    parser.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
-                        help="cache per-file results under DIR")
     parser.add_argument("--fix", action="store_true",
                         help="apply mechanically-safe fixes (unused imports,"
                              " stale pragmas) and re-report")
@@ -95,9 +86,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path in missing:
             print(f"error: no such path: {path}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
 
     try:
         codes = ([c.strip() for c in args.rules.split(",") if c.strip()]
@@ -107,8 +95,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    cache = AnalysisCache(args.cache_dir) if args.cache_dir else None
-    run = analyze_paths(args.paths, rules=rules, jobs=args.jobs, cache=cache)
+    run = analyze_paths(args.paths, rules=rules)
 
     if args.fix:
         files = collect_files(args.paths)
@@ -123,7 +110,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"fixed {outcome.path}: {', '.join(details) or 'rewritten'}")
         if changed:
             # Re-analyze so the report reflects the fixed tree.
-            run = analyze_paths(args.paths, rules=rules, jobs=args.jobs)
+            run = analyze_paths(args.paths, rules=rules)
 
     pairs = run.fingerprints
     baseline_path = _resolve_baseline(args)

@@ -1,26 +1,16 @@
 """The two-pass analysis engine.
 
-Pass 1 parses every file once and reduces it to a serializable summary;
-the summaries fold into the whole-tree
+Pass 1 parses every file once and reduces it to a summary; the
+summaries fold into the whole-tree
 :class:`~repro.verify.analysis.project.ProjectIndex`.  Pass 2 runs the
 selected rule plugins per file against the facts *and* the index, then
-applies ``# repro-lint: allow=`` pragmas and sorts — exactly the legacy
-pipeline, so the :mod:`repro.verify.lint` shim stays byte-identical.
-
-Per-file results are cached keyed on ``(content hash, path, rule
-selection, engine version, project digest)``: an edit that does not
-change any cross-module table re-analyzes only the edited file.  The
-``jobs`` fan-out mirrors :mod:`repro.runner.parallel` — workers receive
-only plain data, output order is input order, and a parallel run is
-byte-identical to a serial one.
+applies ``# repro-lint: allow=`` pragmas and sorts.  Both passes run
+serially, in input order, and nothing is cached between runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
-import multiprocessing
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -30,21 +20,15 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.verify.analysis.facts import extract_facts
 from repro.verify.analysis.findings import Finding, fingerprint_findings
 from repro.verify.analysis.project import ProjectIndex, build_index
-from repro.verify.analysis.registry import Rule, get_rules, rules_signature
+from repro.verify.analysis.registry import Rule, get_rules
 
 __all__ = [
-    "ENGINE_VERSION",
-    "AnalysisCache",
     "AnalysisRun",
     "FileResult",
     "analyze_source",
     "analyze_paths",
     "collect_files",
 ]
-
-#: Bumped whenever extraction or rule semantics change; part of every
-#: cache key so stale caches can never resurface old findings.
-ENGINE_VERSION = "3"
 
 _ALLOW_RE = re.compile(r"#\s*repro-lint:\s*allow=([A-Za-z0-9_,\s]+)")
 
@@ -58,27 +42,6 @@ class FileResult:
     fingerprints: List[str] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     pragma_lines: List[int] = field(default_factory=list)
-    from_cache: bool = False
-
-    def to_blob(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "findings": [f.to_dict() for f in self.findings],
-            "fingerprints": list(self.fingerprints),
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "pragma_lines": list(self.pragma_lines),
-        }
-
-    @classmethod
-    def from_blob(cls, blob: Dict[str, Any]) -> "FileResult":
-        return cls(
-            path=str(blob["path"]),
-            findings=[Finding.from_dict(f) for f in blob["findings"]],
-            fingerprints=[str(fp) for fp in blob["fingerprints"]],
-            suppressed=[Finding.from_dict(f) for f in blob["suppressed"]],
-            pragma_lines=[int(line) for line in blob["pragma_lines"]],
-            from_cache=True,
-        )
 
 
 @dataclass
@@ -86,9 +49,7 @@ class AnalysisRun:
     """A whole-tree analysis outcome."""
 
     files: List[FileResult]
-    index: Optional[ProjectIndex] = None
-    cache_hits: int = 0
-    cache_misses: int = 0
+    index: ProjectIndex
 
     @property
     def findings(self) -> List[Finding]:
@@ -186,153 +147,43 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
     return files
 
 
-# ---------------------------------------------------------------- caching
-
-class AnalysisCache:
-    """On-disk per-file result cache (atomic writes, content-hash keys)."""
-
-    def __init__(self, directory: Path) -> None:
-        self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
-
-    def _entry(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> Optional[FileResult]:
-        entry = self._entry(key)
-        try:
-            blob = json.loads(entry.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return FileResult.from_blob(blob)
-
-    def put(self, key: str, result: FileResult) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        entry = self._entry(key)
-        tmp = entry.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(result.to_blob(), sort_keys=True), encoding="utf-8"
-        )
-        tmp.replace(entry)
-
-
-def _file_key(path: str, content: bytes, signature: str,
-              project_digest: str) -> str:
-    blob = hashlib.sha256()
-    blob.update(content)
-    blob.update(path.encode("utf-8"))
-    blob.update(signature.encode("utf-8"))
-    blob.update(ENGINE_VERSION.encode("utf-8"))
-    blob.update(project_digest.encode("utf-8"))
-    return blob.hexdigest()
-
-
-# ------------------------------------------------------------- fan-out
-
-def _preferred_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap, inherits the imported tree), else spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _summary_worker(path_str: str) -> Optional[Dict[str, Any]]:
-    """Pass 1: one file's serializable summary (None on read/parse error)."""
-    try:
-        source = Path(path_str).read_text(encoding="utf-8")
-        return extract_facts(source, path_str).summary()
-    except (OSError, SyntaxError):
-        return None
-
-
-def _analyze_worker(
-    payload: Tuple[str, Optional[Tuple[str, ...]], Optional[ProjectIndex]],
-) -> FileResult:
-    """Pass 2: analyze one file (worker-safe: plain-data payload)."""
-    path_str, codes, project = payload
-    rules = get_rules(list(codes) if codes is not None else None)
-    try:
-        source = Path(path_str).read_text(encoding="utf-8")
-    except OSError as exc:
-        finding = Finding(path_str, 0, 0, "REPRO100", f"cannot read file: {exc}")
-        return FileResult(path=path_str, findings=[finding],
-                          fingerprints=[fp for _, fp in
-                                        fingerprint_findings([finding], [])])
-    return analyze_source(source, path_str, rules, project)
-
-
 def analyze_paths(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
-    jobs: int = 1,
-    cache: Optional[AnalysisCache] = None,
-    build_project: bool = True,
 ) -> AnalysisRun:
     """Analyze files/trees with the full two-pass engine.
 
-    ``jobs=N`` fans both passes out over N worker processes; the result
-    is byte-identical to a serial run (output order is input order, and
-    every worker sees the same pinned project index).  ``build_project=
-    False`` skips pass 1 entirely — the legacy single-pass mode the
-    :mod:`repro.verify.lint` shim uses for ad-hoc file lists.
+    Results come back in input order.  A file that cannot be read or
+    parsed still gets a result, carrying one REPRO100 finding, and is
+    left out of the project index.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
     if rules is None:
         rules = get_rules()
-    files = collect_files(paths)
-    file_names = [str(path) for path in files]
+    sources: List[Tuple[str, Optional[str], Optional[OSError]]] = []
+    for path in collect_files(paths):
+        try:
+            sources.append((str(path), path.read_text(encoding="utf-8"), None))
+        except OSError as exc:
+            sources.append((str(path), None, exc))
 
-    project: Optional[ProjectIndex] = None
-    if build_project:
-        if jobs > 1 and len(file_names) > 1:
-            ctx = _preferred_context()
-            with ctx.Pool(processes=min(jobs, len(file_names))) as pool:
-                summaries = pool.map(_summary_worker, file_names, chunksize=4)
-        else:
-            summaries = [_summary_worker(name) for name in file_names]
-        project = build_index([s for s in summaries if s is not None])
+    summaries: List[Dict[str, Any]] = []
+    for name, source, _ in sources:
+        if source is None:
+            continue
+        try:
+            summaries.append(extract_facts(source, name).summary())
+        except SyntaxError:
+            pass
+    project = build_index(summaries)
 
-    signature = rules_signature(list(rules))
-    project_digest = project.digest() if project is not None else "none"
-    codes: Optional[Tuple[str, ...]] = tuple(r.code for r in rules)
-
-    results: List[Optional[FileResult]] = [None] * len(file_names)
-    pending: List[Tuple[int, str]] = []
-    keys: Dict[int, str] = {}
-    for index, name in enumerate(file_names):
-        if cache is not None:
-            try:
-                content = Path(name).read_bytes()
-            except OSError:
-                content = b""
-            key = _file_key(name, content, signature, project_digest)
-            keys[index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                continue
-        pending.append((index, name))
-
-    if pending:
-        payloads = [(name, codes, project) for _, name in pending]
-        if jobs == 1 or len(pending) == 1:
-            fresh = [_analyze_worker(payload) for payload in payloads]
-        else:
-            ctx = _preferred_context()
-            with ctx.Pool(processes=min(jobs, len(pending))) as pool:
-                fresh = pool.map(_analyze_worker, payloads, chunksize=4)
-        for (index, _name), outcome in zip(pending, fresh):
-            results[index] = outcome
-            if cache is not None and index in keys:
-                cache.put(keys[index], outcome)
-
-    final = [result for result in results if result is not None]
-    return AnalysisRun(
-        files=final,
-        index=project,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-    )
+    files: List[FileResult] = []
+    for name, source, error in sources:
+        if source is not None:
+            files.append(analyze_source(source, name, rules, project))
+            continue
+        finding = Finding(name, 0, 0, "REPRO100", f"cannot read file: {error}")
+        files.append(FileResult(
+            path=name, findings=[finding],
+            fingerprints=[fp for _, fp in fingerprint_findings([finding], [])],
+        ))
+    return AnalysisRun(files=files, index=project)

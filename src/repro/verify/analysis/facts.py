@@ -12,12 +12,10 @@ sets (``import random as r`` …) grow in document order, and each event
 snapshots the judgment flags *as they stood at that point in the file*,
 so the ported REPRO101–108 plugins reproduce the old pass byte-for-byte.
 
-:class:`ModuleFacts` additionally yields a serializable
+:class:`ModuleFacts` additionally yields a plain-data
 :meth:`~ModuleFacts.summary` — the per-file contribution to the
 whole-tree :class:`~repro.verify.analysis.project.ProjectIndex` (imports,
-exports, private-attribute ownership, frozen classes).  Summaries contain
-no AST nodes, so they pickle across the ``--jobs`` worker pool and hash
-stably for the result cache.
+exports, private-attribute ownership, frozen classes).
 """
 
 from __future__ import annotations
@@ -53,18 +51,6 @@ MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "deque", "defaultdict"}
 #: Functions in which ``object.__setattr__`` is the sanctioned frozen-
 #: dataclass construction idiom.
 INIT_FAMILY = {"__init__", "__post_init__", "__setattr__", "__new__"}
-
-#: Legacy keyword surfaces REPRO115 polices: callable -> kwargs that
-#: moved into :class:`~repro.core.config.RunProfile`.  Mirrors the
-#: ``_LEGACY_KWARGS`` shim in ``topo/builder.py`` and the deprecated
-#: ``run_cells`` spellings; keep the three lists in sync.
-LEGACY_API_KWARGS = {
-    "ScenarioBuilder": frozenset({
-        "bitrate_bps", "trace", "grid_kwargs", "queue_capacity",
-        "timing", "sanitize", "metrics", "faults",
-    }),
-    "run_cells": frozenset({"sanitize", "metrics_interval"}),
-}
 
 _SET_ANNOTATIONS = {"set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet"}
 _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference", "copy"}
@@ -126,9 +112,6 @@ class CallEvent:
     object_setattr: bool = False
     sim_run_call: bool = False
     at_constant_time: bool = False
-    #: Keywords at this call site that hit the deprecated kwarg shim
-    #: (see :data:`LEGACY_API_KWARGS`); empty for every other call.
-    legacy_api_kwargs: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -171,7 +154,7 @@ class ModuleFacts:
     normalized: str
     rel: Optional[str]          #: repro-relative path, None outside the tree
     package: Optional[str]      #: repro package ("", "cli", "mac", ...)
-    # Legacy module-kind flags (path-derived, matching repro.verify.lint).
+    # Module-kind flags (path-derived).
     is_rng_module: bool = False
     is_kernel_module: bool = False
     is_phy_module: bool = False
@@ -528,15 +511,6 @@ class _FactsVisitor(ast.NodeVisitor):
             and isinstance(node.args[0].value, (int, float))
             and not isinstance(node.args[0].value, bool)
         )
-        shim = LEGACY_API_KWARGS.get(
-            func_name if func_name is not None else (func_attr or "")
-        )
-        legacy_api_kwargs: Tuple[str, ...] = ()
-        if shim:
-            legacy_api_kwargs = tuple(sorted(
-                keyword.arg for keyword in node.keywords
-                if keyword.arg is not None and keyword.arg in shim
-            ))
         stream_literal = self._stream_call_literal(node)
         self.facts.call_events.append(CallEvent(
             line=node.lineno,
@@ -559,7 +533,6 @@ class _FactsVisitor(ast.NodeVisitor):
             object_setattr=object_setattr,
             sim_run_call=sim_run_call,
             at_constant_time=at_constant_time,
-            legacy_api_kwargs=legacy_api_kwargs,
         ))
         self._note_callback_registration(node)
         # sum()/math.fsum() directly over an unordered set.

@@ -1,10 +1,9 @@
 """Finding records and stable fingerprints.
 
 A :class:`Finding` is one diagnostic: ``path:line:col: CODE message``.
-The dataclass is shared by every rule plugin, the legacy
-:mod:`repro.verify.lint` shim, the baseline machinery and the SARIF/JSON
-emitters, so it stays plain data — everything in it pickles across the
-``--jobs`` worker pool and serializes byte-stably.
+The dataclass is shared by every rule plugin, the baseline machinery
+and the SARIF/JSON emitters, so it stays plain data that serializes
+byte-stably.
 
 Fingerprints identify a finding across unrelated edits: they hash the
 file path, the rule code, the *text* of the flagged line and the
@@ -43,16 +42,6 @@ class Finding:
             "code": self.code,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, blob: Dict[str, object]) -> "Finding":
-        return cls(
-            path=str(blob["path"]),
-            line=int(blob["line"]),  # type: ignore[arg-type]
-            col=int(blob["col"]),  # type: ignore[arg-type]
-            code=str(blob["code"]),
-            message=str(blob["message"]),
-        )
 
 
 def _line_text(source_lines: Sequence[str], line: int) -> str:

@@ -14,16 +14,10 @@ plugins consult:
   such names as used (the re-export *is* the use).
 * ``frozen_classes`` — every ``@dataclass(frozen=True)`` class name in
   the tree, for REPRO111's direct-write check.
-
-:meth:`ProjectIndex.digest` hashes exactly the tables above.  The
-per-file result cache keys on it, so an edit that does not change any
-cross-module table invalidates only the edited file's entry.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -60,22 +54,6 @@ class ProjectIndex:
     frozen_classes: FrozenSet[str] = field(default_factory=frozenset)
     #: dotted module names present in the tree (for import resolution).
     modules: FrozenSet[str] = field(default_factory=frozenset)
-
-    def digest(self) -> str:
-        """Stable hash over every table a rule can read."""
-        blob = json.dumps(
-            {
-                "private_attr_owners": {
-                    attr: sorted(owners)
-                    for attr, owners in sorted(self.private_attr_owners.items())
-                },
-                "init_reexports": sorted(list(pair) for pair in self.init_reexports),
-                "frozen_classes": sorted(self.frozen_classes),
-                "modules": sorted(self.modules),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def attr_owned_elsewhere(self, attr: str, package: Optional[str]) -> Optional[str]:
         """The sole owning layer group of ``attr`` when it is not ours.

@@ -20,9 +20,7 @@ are expected to degrade to their file-local subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.verify.analysis.findings import Finding
 
@@ -30,20 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.analysis.facts import ModuleFacts
     from repro.verify.analysis.project import ProjectIndex
 
-__all__ = [
-    "Rule", "rule", "all_rules", "get_rules", "rule_codes",
-    "LEGACY_RULE_CODES", "rules_signature",
-]
+__all__ = ["Rule", "rule", "all_rules", "get_rules", "rule_codes"]
 
 CheckFn = Callable[
     ["ModuleFacts", Optional["ProjectIndex"]], Iterable[Finding]
 ]
-
-#: The REPRO101-108 set the legacy ``repro.verify.lint`` shim runs.
-LEGACY_RULE_CODES: Tuple[str, ...] = (
-    "REPRO101", "REPRO102", "REPRO103", "REPRO104",
-    "REPRO105", "REPRO106", "REPRO107", "REPRO108",
-)
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,3 @@ def get_rules(codes: Optional[Sequence[str]] = None) -> List[Rule]:
     if missing:
         raise KeyError(f"unknown rule code(s): {', '.join(sorted(missing))}")
     return [_RULES[code] for code in sorted(set(codes))]
-
-
-def rules_signature(rules: Sequence[Rule]) -> str:
-    """A stable identifier for a rule selection (folded into cache keys)."""
-    return ",".join(r.code for r in rules)

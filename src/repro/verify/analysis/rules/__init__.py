@@ -19,12 +19,10 @@ Module                      Rules
 :mod:`.frozen`              REPRO111 frozen-dataclass mutation
 :mod:`.ordering`            REPRO112 order-sensitive set iteration
 :mod:`.persistence`         REPRO114 pickle-outside-snapshot
-:mod:`.api`                 REPRO115 legacy-api-kwargs
 ==========================  ==============================================
 """
 
 from repro.verify.analysis.rules import (  # noqa: F401  (registration side effect)
-    api,
     determinism,
     frozen,
     hygiene,

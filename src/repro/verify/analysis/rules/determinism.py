@@ -1,9 +1,7 @@
 """REPRO101 unseeded-randomness, REPRO102 wall-clock, REPRO108 fault-randomness.
 
-Ported verbatim from the flat :mod:`repro.verify.lint` pass: same
-judgments, same messages, same positions — the compat-shim equivalence
-test pins that.  All randomness must flow through ``Simulator.streams``
-(REPRO101); simulated time comes only from ``Simulator.now`` (REPRO102);
+All randomness must flow through ``Simulator.streams`` (REPRO101);
+simulated time comes only from ``Simulator.now`` (REPRO102);
 fault-injection code may draw only from dedicated ``fault:*`` substreams
 so chaos runs never perturb the clean runs they are compared against
 (REPRO108).

@@ -1,17 +1,11 @@
-"""RunProfile: normalization, digests, ambient scope, deprecation shims."""
-
-import warnings
+"""RunProfile: normalization, digests, ambient scope, the one spelling."""
 
 import pytest
 
-from repro.core.config import (
-    RunProfile,
-    active_profile,
-    ambient_profile,
-    reset_deprecation_warnings,
-)
+from repro.core.config import RunProfile, active_profile, ambient_profile
 from repro.fault import FaultSchedule, LinkFlap
 from repro.obs.runtime import MetricsConfig
+from repro.runner import Cell, run_cells
 from repro.topo.builder import ScenarioBuilder
 
 
@@ -126,34 +120,13 @@ def test_builder_adopts_the_ambient_profile():
     assert explicit.profile == RunProfile()
 
 
-# ------------------------------------------------------ deprecation shims
-def test_legacy_kwargs_warn_once_and_still_work():
-    reset_deprecation_warnings()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = ScenarioBuilder(seed=1, trace=True)
-            ScenarioBuilder(seed=1, trace=True)
-        assert first.profile.trace is True
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "profile=RunProfile(trace=...)" in str(deprecations[0].message)
-    finally:
-        reset_deprecation_warnings()
-
-
-def test_legacy_kwargs_and_profile_build_identical_scenarios():
-    reset_deprecation_warnings()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ScenarioBuilder(seed=1, queue_capacity=8, trace=True)
-        modern = ScenarioBuilder(
-            seed=1, profile=RunProfile(queue_capacity=8, trace=True)
-        )
-        assert legacy.profile == modern.profile
-    finally:
-        reset_deprecation_warnings()
+# ------------------------------------------------------ the one spelling
+def test_pre_profile_kwargs_are_type_errors():
+    with pytest.raises(TypeError):
+        ScenarioBuilder(seed=1, trace=True)
+    with pytest.raises(TypeError):
+        run_cells([Cell("table9", seed=0, duration=1.0, warmup=0.5)],
+                  metrics_interval=1.0)
 
 
 def test_unknown_builder_kwarg_is_a_type_error():

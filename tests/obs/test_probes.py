@@ -108,7 +108,7 @@ def test_dump_is_json_serializable_with_schema():
 def test_instrumentation_is_determinism_neutral_for_maca_too():
     def digest(metrics_on):
         builder = contended_builder(seed=9, protocol="maca")
-        builder.trace = True
+        builder.profile = builder.profile.but(trace=True)
         scenario = builder.build()
         if metrics_on:
             instrument_scenario(scenario, MetricsConfig(interval=0.5))
@@ -120,7 +120,7 @@ def test_instrumentation_is_determinism_neutral_for_maca_too():
 
 def test_builder_metrics_opt_in_and_config_validation():
     builder = contended_builder()
-    builder.metrics = 2.0
+    builder.profile = builder.profile.but(metrics=2.0)
     scenario = builder.build()
     assert scenario.metrics is not None
     assert scenario.metrics.config.interval == 2.0

@@ -7,6 +7,7 @@ dead station kept drawing backoff slots and scheduling events until the
 simulation horizon.  These tests pin the fix at both layers.
 """
 
+from repro.core.config import RunProfile
 from repro.topo.builder import ScenarioBuilder
 from tests.phy.conftest import RecordingPort, data, make_ports
 
@@ -34,7 +35,8 @@ def test_attached_sender_still_notified(sim, graph):
 
 def test_powered_off_station_stops_contending():
     for protocol in ("macaw", "maca"):
-        builder = ScenarioBuilder(seed=5, protocol=protocol, trace=True)
+        builder = ScenarioBuilder(seed=5, protocol=protocol,
+                                  profile=RunProfile(trace=True))
         builder.add_base("B")
         builder.add_pad("P")
         builder.clique("B", "P")

@@ -20,46 +20,46 @@ def _results(events_per_sec):
 
 
 def _baseline(events_per_sec, tolerance=0.25):
-    return {"tolerance": tolerance, "benchmarks": _results(events_per_sec)}
+    return {"tolerance": tolerance,
+            "backends": {"heap": _results(events_per_sec)}}
 
 
 def test_within_tolerance_passes():
-    assert check_against(_baseline(50_000.0), _results(40_000.0)) == []
+    assert check_against(_baseline(50_000.0), _results(40_000.0), "heap") == []
 
 
 def test_beyond_tolerance_fails():
-    failures = check_against(_baseline(50_000.0), _results(37_000.0))
+    failures = check_against(_baseline(50_000.0), _results(37_000.0), "heap")
     assert len(failures) == 1 and "six_pad_cell" in failures[0]
 
 
 def test_unknown_bench_is_ignored():
-    baseline = {"tolerance": 0.25, "benchmarks": {}}
-    assert check_against(baseline, _results(1.0)) == []
+    baseline = {"tolerance": 0.25, "backends": {"heap": {}}}
+    assert check_against(baseline, _results(1.0), "heap") == []
 
 
 def test_write_preserves_frozen_pre_pr_block(tmp_path):
     path = tmp_path / "BENCH_engine.json"
     path.write_text(json.dumps({"pre_pr": {"six_pad_cell": {"wall_s": 2.0}}}))
-    write_baseline(path, _results(55_000.0))
+    write_baseline(path, {"heap": _results(55_000.0)})
     data = load_baseline(path)
     assert data["pre_pr"] == {"six_pad_cell": {"wall_s": 2.0}}
-    assert data["benchmarks"] == _results(55_000.0)
+    assert data["backends"] == {"heap": _results(55_000.0)}
     assert data["tolerance"] == DEFAULT_TOLERANCE
 
 
 def test_write_records_the_backend_matrix(tmp_path):
     path = tmp_path / "BENCH_engine.json"
     matrix = {"heap": _results(55_000.0), "wheel": _results(60_000.0)}
-    write_baseline(path, matrix["heap"], backends=matrix)
+    write_baseline(path, matrix)
     data = load_baseline(path)
     assert data["backends"] == matrix
-    assert data["benchmarks"] == matrix["heap"]
+    assert "benchmarks" not in data
 
 
 def test_check_uses_the_backends_own_section():
     baseline = {
         "tolerance": 0.25,
-        "benchmarks": _results(50_000.0),
         "backends": {
             "heap": _results(50_000.0),
             "wheel": _results(100_000.0),
@@ -69,20 +69,20 @@ def test_check_uses_the_backends_own_section():
     assert check_against(baseline, _results(60_000.0), backend="heap") == []
     failures = check_against(baseline, _results(60_000.0), backend="wheel")
     assert len(failures) == 1 and "[wheel]" in failures[0]
-    # A backend with no committed section falls back to 'benchmarks'.
+    # A backend with no committed section has nothing to regress against.
     assert check_against(baseline, _results(60_000.0), backend="novel") == []
 
 
 def test_committed_baseline_exists_and_documents_the_speedup():
     data = load_baseline(default_baseline_path())
-    assert set(data["benchmarks"]) >= {
+    assert set(data["backends"]["heap"]) >= {
         "kernel_chain", "timer_cancel", "single_stream_cell",
         "six_pad_cell", "office_cell",
     }
     # The acceptance claim of the first perf PR: the contended six-pad
     # cell runs >= 20% faster than the frozen pre-optimization reference.
     before = data["pre_pr"]["six_pad_cell"]["wall_s"]
-    after = data["benchmarks"]["six_pad_cell"]["wall_s"]
+    after = data["backends"]["heap"]["six_pad_cell"]["wall_s"]
     assert after <= 0.8 * before
 
 

@@ -1,7 +1,7 @@
 """On-disk result cache: round-trips, key sensitivity, corruption safety."""
 
 from repro.core.config import RunProfile
-from repro.runner import Cell, ResultCache, config_hash, profile_hash, run_cells
+from repro.runner import Cell, ResultCache, profile_hash, run_cells
 
 
 def _run_one(cache, collect=True):
@@ -31,7 +31,7 @@ def test_round_trip_hits_and_preserves_result(tmp_path):
 def test_key_changes_with_every_cell_and_config_field(tmp_path):
     cache = ResultCache(tmp_path)
     base = Cell("table9", seed=0, duration=30.0, warmup=5.0)
-    config = config_hash(sanitize=False, collect_digests=True)
+    config = _default_config()
     reference = cache.key(base, config)
 
     variants = [
@@ -41,7 +41,8 @@ def test_key_changes_with_every_cell_and_config_field(tmp_path):
         Cell("table9", seed=0, duration=30.0, warmup=6.0),
     ]
     keys = {cache.key(cell, config) for cell in variants}
-    keys.add(cache.key(base, config_hash(sanitize=True, collect_digests=True)))
+    sanitized = RunProfile(sanitize=True, metrics=False)
+    keys.add(cache.key(base, profile_hash(sanitized, collect_digests=True)))
     keys.add(cache.key(base, config, version="other-code-version"))
     assert reference not in keys
     assert len(keys) == 6

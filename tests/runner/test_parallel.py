@@ -8,6 +8,7 @@ paths and diff everything observable.
 
 import pytest
 
+from repro.core.config import RunProfile
 from repro.experiments.registry import get_experiment
 from repro.runner import Cell, expand_cells, run_cells
 
@@ -84,7 +85,7 @@ def test_rejects_nonpositive_jobs():
 
 def test_metrics_interval_ships_series_back_with_each_cell():
     cells = expand_cells(["table9"], [0], duration=10.0, warmup=2.0)
-    outcomes = run_cells(cells, jobs=1, metrics_interval=1.0)
+    outcomes = run_cells(cells, jobs=1, profile=RunProfile(metrics=1.0))
     assert len(outcomes[0].metrics) >= 1  # one dump per scenario run
     dump = outcomes[0].metrics[0]
     assert dump["interval"] == 1.0
@@ -100,10 +101,9 @@ def test_metrics_default_off():
 
 def test_metrics_parallel_matches_serial_dumps_exactly():
     cells = expand_cells(["table9"], [0, 1], duration=10.0, warmup=2.0)
-    serial = run_cells(cells, jobs=1, metrics_interval=1.0,
-                       collect_digests=True)
-    parallel = run_cells(cells, jobs=2, metrics_interval=1.0,
-                         collect_digests=True)
+    metered = RunProfile(metrics=1.0)
+    serial = run_cells(cells, jobs=1, profile=metered, collect_digests=True)
+    parallel = run_cells(cells, jobs=2, profile=metered, collect_digests=True)
     assert [o.digest for o in serial] == [o.digest for o in parallel]
     assert [o.metrics for o in serial] == [o.metrics for o in parallel]
 
@@ -112,7 +112,7 @@ def test_metrics_do_not_change_digests():
     cells = expand_cells(["table9"], [0], duration=10.0, warmup=2.0)
     plain = run_cells(cells, jobs=1, collect_digests=True)
     metered = run_cells(cells, jobs=1, collect_digests=True,
-                        metrics_interval=0.5)
+                        profile=RunProfile(metrics=0.5))
     assert plain[0].digest == metered[0].digest
 
 
@@ -122,9 +122,10 @@ def test_metrics_runs_never_reuse_metricless_cache_entries(tmp_path):
     cells = expand_cells(["table9"], [0], duration=10.0, warmup=2.0)
     cache = ResultCache(str(tmp_path))
     run_cells(cells, jobs=1, cache=cache)  # warm the metric-less entry
-    outcomes = run_cells(cells, jobs=1, cache=cache, metrics_interval=1.0)
+    metered = RunProfile(metrics=1.0)
+    outcomes = run_cells(cells, jobs=1, cache=cache, profile=metered)
     assert not outcomes[0].cached  # different config hash: forced re-run
     assert outcomes[0].metrics
-    again = run_cells(cells, jobs=1, cache=cache, metrics_interval=1.0)
+    again = run_cells(cells, jobs=1, cache=cache, profile=metered)
     assert again[0].cached
     assert again[0].metrics == outcomes[0].metrics  # series ride the cache

@@ -21,7 +21,7 @@ def poisson_builder(seed=4):
     builder.clique("B", "P1", "P2")
     builder.udp("P1", "B", 40.0, arrival="poisson")
     builder.udp("P2", "B", 40.0, arrival="poisson")
-    builder.trace = True
+    builder.profile = builder.profile.but(trace=True)
     return builder
 
 

@@ -13,7 +13,7 @@ HORIZON = 20.0
 
 def build(seed=0):
     builder = fig2_two_pads(protocol="macaw", seed=seed)
-    builder.trace = True
+    builder.profile = builder.profile.but(trace=True)
     return builder
 
 
@@ -92,7 +92,7 @@ def test_restore_rejects_mismatched_topology(snap):
     from repro.topo.figures import fig3_six_pads
 
     builder = fig3_six_pads(protocol="macaw", seed=0)
-    builder.trace = True
+    builder.profile = builder.profile.but(trace=True)
     scenario = builder.build()
     with pytest.raises(SnapshotError, match="equivalent builder"):
         snap.restore(scenario, builder)

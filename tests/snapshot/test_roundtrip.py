@@ -20,10 +20,8 @@ SEEDS = (0, 1, 2)
 
 def build(protocol, queue, faulted, seed):
     builder = fig2_two_pads(protocol=protocol, seed=seed)
-    builder.trace = True
-    builder.queue = queue
-    if faulted:
-        builder.faults = get_preset("flaky-links")
+    faults = get_preset("flaky-links") if faulted else None
+    builder.profile = builder.profile.but(trace=True, queue=queue, faults=faults)
     return builder
 
 

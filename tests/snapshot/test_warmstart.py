@@ -58,15 +58,14 @@ def test_warm_store_holds_one_snapshot_per_variant(tmp_path):
 
 def test_warm_restore_skips_warmup_events(tmp_path):
     builder = fig2_two_pads(protocol="macaw", seed=0)
-    builder.trace = True
+    builder.profile = builder.profile.but(trace=True)
     cold = builder.build()
     cold.sim.run(until=BOUNDS["duration"])
     reference = (cold.sim.events_fired, cold.sim.trace.digest())
 
     def warm_build():
         b = fig2_two_pads(protocol="macaw", seed=0)
-        b.trace = True
-        b.profile = b.profile.but(warm_start=warm(tmp_path))
+        b.profile = b.profile.but(trace=True, warm_start=warm(tmp_path))
         return b.build()
 
     primed = warm_build()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import maca_config, macaw_config
+from repro.core.config import RunProfile, maca_config, macaw_config
 from repro.core.macaw import MacawMac
 from repro.mac.csma import CsmaMac
 from repro.mac.maca import MacaMac
@@ -128,7 +128,7 @@ def test_power_off_at_stops_stream():
 
 def test_custom_timing_flows_to_macs():
     timing = MacTiming(margin_slots=2.0)
-    builder = two_station_builder(timing=timing)
+    builder = two_station_builder(profile=RunProfile(timing=timing))
     scenario = builder.build()
     assert scenario.station("P").mac.timing.margin_slots == 2.0
 

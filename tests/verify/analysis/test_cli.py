@@ -26,7 +26,6 @@ def test_exit_codes(tmp_path, capsys):
     assert main([]) == 2
     assert main([str(tmp_path / "absent.py")]) == 2
     assert main([str(clean), "--rules", "REPRO999"]) == 2
-    assert main([str(clean), "--jobs", "0"]) == 2
 
 
 def test_rule_selection(tmp_path, capsys):
@@ -96,15 +95,6 @@ def test_fix_flag_rewrites_and_reports_clean(tmp_path, capsys):
     assert main([str(tmp_path), "--fix", "--no-baseline"]) == 0
     assert target.read_text() == "import sys\nx = sys.argv\n"
     assert "fixed" in capsys.readouterr().out
-
-
-def test_jobs_flag_matches_serial(tmp_path, capsys):
-    for name in ("a.py", "b.py", "c.py"):
-        (tmp_path / name).write_text(DIRTY)
-    assert main([str(tmp_path), "--no-baseline"]) == 1
-    serial_out = capsys.readouterr().out
-    assert main([str(tmp_path), "--jobs", "4", "--no-baseline"]) == 1
-    assert capsys.readouterr().out == serial_out
 
 
 def test_module_entrypoint_runs_clean_on_tree():

@@ -1,144 +1,15 @@
-"""Engine behaviour: shim equivalence, parallel parity, caching, REPRO105."""
+"""Engine behaviour: the clean tree, REPRO105 re-exports, pragma plumbing."""
 
-import json
 from pathlib import Path
 
-from repro.verify.analysis import (
-    LEGACY_RULE_CODES,
-    AnalysisCache,
-    analyze_paths,
-    analyze_source,
-    get_rules,
-)
-from repro.verify.lint import lint_paths, lint_source
+from repro.verify.analysis import analyze_paths, analyze_source, get_rules
 
 SRC = Path(__file__).resolve().parents[3] / "src" / "repro"
-
-FIXTURES = {
-    "clean.py": "def f(x):\n    return x + 1\n",
-    "dirty.py": (
-        "import random\n"
-        "import time\n"
-        "def f(x=[]):\n"
-        "    t = time.time()\n"
-        "    return random.random() + t\n"
-    ),
-    "pragma.py": (
-        "import time\n"
-        "t = time.time()  # repro-lint: allow=REPRO102\n"
-    ),
-    "counter.py": (
-        "counts = {}\n"
-        "counts[k] = counts.get(k, 0) + 1\n"
-    ),
-}
-
-
-def _write_fixtures(tmp_path):
-    for name, source in FIXTURES.items():
-        (tmp_path / name).write_text(source)
-    return tmp_path
-
-
-# ----------------------------------------------------- compat equivalence
-
-
-def test_shim_matches_engine_on_fixtures(tmp_path):
-    """The legacy entry points and the engine agree byte-for-byte."""
-    root = _write_fixtures(tmp_path)
-    legacy = lint_paths([root])
-    rules = get_rules(list(LEGACY_RULE_CODES))
-    engine = analyze_paths([root], rules=rules).findings
-    assert [f.render() for f in legacy] == [f.render() for f in engine]
-
-
-def test_shim_single_file_matches_engine():
-    for source in FIXTURES.values():
-        legacy = lint_source(source, "model.py")
-        rules = get_rules(list(LEGACY_RULE_CODES))
-        engine = analyze_source(source, "model.py", rules).findings
-        assert [f.render() for f in legacy] == [f.render() for f in engine]
 
 
 def test_repro_tree_clean_under_full_rule_set():
     run = analyze_paths([SRC])
     assert run.findings == [], "\n".join(f.render() for f in run.findings)
-
-
-def test_legacy_rule_subset_is_exactly_101_to_108():
-    codes = [r.code for r in get_rules(list(LEGACY_RULE_CODES))]
-    assert codes == sorted(LEGACY_RULE_CODES)
-
-
-# ------------------------------------------------------- parallel parity
-
-
-def test_jobs_match_serial_byte_for_byte(tmp_path):
-    root = _write_fixtures(tmp_path)
-    serial = analyze_paths([root], jobs=1)
-    fanned = analyze_paths([root], jobs=4)
-    assert [f.render() for f in serial.findings] == \
-        [f.render() for f in fanned.findings]
-    assert [fp for _, fp in serial.fingerprints] == \
-        [fp for _, fp in fanned.fingerprints]
-
-
-def test_jobs_match_serial_on_repro_tree():
-    serial = analyze_paths([SRC], jobs=1)
-    fanned = analyze_paths([SRC], jobs=4)
-    assert [f.render() for f in serial.findings] == \
-        [f.render() for f in fanned.findings]
-
-
-# --------------------------------------------------------------- caching
-
-
-def test_cache_round_trip(tmp_path):
-    root = tmp_path / "tree"
-    root.mkdir()
-    _write_fixtures(root)
-    cache_dir = tmp_path / "cache"
-
-    cold = AnalysisCache(cache_dir)
-    first = analyze_paths([root], cache=cold)
-    assert cold.hits == 0 and cold.misses == len(first.files)
-
-    warm = AnalysisCache(cache_dir)
-    second = analyze_paths([root], cache=warm)
-    assert warm.misses == 0 and warm.hits == len(second.files)
-    assert [f.render() for f in first.findings] == \
-        [f.render() for f in second.findings]
-    assert all(result.from_cache for result in second.files)
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    root = tmp_path / "tree"
-    root.mkdir()
-    target = root / "mod.py"
-    target.write_text("import os\n")
-    cache_dir = tmp_path / "cache"
-
-    analyze_paths([root], cache=AnalysisCache(cache_dir))
-    target.write_text("import os\nx = os.sep\n")
-    warm = AnalysisCache(cache_dir)
-    run = analyze_paths([root], cache=warm)
-    assert warm.hits == 0  # content hash changed -> stale key
-    assert run.findings == []
-
-
-def test_cache_ignores_rule_selection_crossover(tmp_path):
-    root = tmp_path / "tree"
-    root.mkdir()
-    (root / "mod.py").write_text("import time\nt = time.time()\n")
-    cache_dir = tmp_path / "cache"
-
-    full = analyze_paths([root], cache=AnalysisCache(cache_dir))
-    assert [f.code for f in full.findings] == ["REPRO102"]
-    subset = analyze_paths(
-        [root], rules=get_rules(["REPRO101"]),
-        cache=AnalysisCache(cache_dir),
-    )
-    assert subset.findings == []  # different signature -> different key
 
 
 # ------------------------------------------- REPRO105 re-export awareness
@@ -190,15 +61,3 @@ def test_suppressed_findings_and_pragma_lines_tracked():
     result = analyze_source(src, "mod.py", get_rules())
     assert [f.code for f in result.suppressed] == ["REPRO102"]
     assert result.pragma_lines == [2, 3]
-
-
-def test_file_result_blob_round_trip(tmp_path):
-    result = analyze_source("import os\n", "mod.py", get_rules())
-    blob = json.loads(json.dumps(result.to_blob()))
-    from repro.verify.analysis import FileResult
-
-    back = FileResult.from_blob(blob)
-    assert [f.render() for f in back.findings] == \
-        [f.render() for f in result.findings]
-    assert back.fingerprints == result.fingerprints
-    assert back.from_cache

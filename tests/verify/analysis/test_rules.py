@@ -1,8 +1,8 @@
 """Per-rule fixtures: one positive and one negative case per rule.
 
-REPRO101-108 are exercised in depth by ``tests/verify/test_lint.py``
-(against the compat shim); here each gets a smoke pair to pin the
-plugin port, and the new REPRO110-113 families get full coverage.
+REPRO101-108 are exercised in depth by ``tests/verify/test_lint.py``;
+here each gets a smoke pair, and the REPRO110-113 families get full
+coverage.
 """
 
 from pathlib import Path

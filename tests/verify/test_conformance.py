@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import RunProfile
 from repro.sim.trace import Trace
 from repro.verify.conformance import (
     ConformanceError,
@@ -252,7 +253,7 @@ def test_profile_for_mac_distinguishes_protocols():
 
 
 def test_real_run_passes_the_checker():
-    builder = ScenarioBuilder(seed=3, trace=True)
+    builder = ScenarioBuilder(seed=3, profile=RunProfile(trace=True))
     builder.add_base("B")
     builder.add_pad("P")
     builder.clique("B", "P")
@@ -265,7 +266,7 @@ def test_real_run_passes_the_checker():
 
 
 def test_sanitize_flag_enables_tracing_and_checks():
-    builder = ScenarioBuilder(seed=3, sanitize=True)
+    builder = ScenarioBuilder(seed=3, profile=RunProfile(sanitize=True))
     builder.add_base("B")
     builder.add_pad("P")
     builder.clique("B", "P")

@@ -1,10 +1,12 @@
 """Determinism regression: one seed must reproduce the trace byte for byte."""
 
+from repro.core.config import RunProfile
 from repro.topo.builder import ScenarioBuilder
 
 
 def traced_builder(protocol, seed):
-    builder = ScenarioBuilder(seed=seed, protocol=protocol, trace=True)
+    builder = ScenarioBuilder(seed=seed, protocol=protocol,
+                              profile=RunProfile(trace=True))
     builder.add_base("B")
     builder.add_pad("P1")
     builder.add_pad("P2")

@@ -1,16 +1,14 @@
-"""The determinism lint pass: each rule, the pragma, and the clean tree."""
+"""Rules REPRO101-108 in depth, the pragma, and the clean tree."""
 
-import subprocess
-import sys
 from pathlib import Path
 
-from repro.verify.lint import lint_paths, lint_source, main
+from repro.verify.analysis import analyze_paths, analyze_source
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def codes(source, path="model.py"):
-    return [f.code for f in lint_source(source, path)]
+    return [f.code for f in analyze_source(source, path).findings]
 
 
 # ------------------------------------------------------------------ REPRO101
@@ -138,41 +136,15 @@ def test_private_audible_pragma_waivable():
 
 
 def test_repro_tree_is_lint_clean():
-    findings = lint_paths([SRC])
+    findings = analyze_paths([SRC]).findings
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_syntax_error_reported_not_raised(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(:\n")
-    findings = lint_paths([bad])
+    findings = analyze_paths([bad]).findings
     assert [f.code for f in findings] == ["REPRO100"]
-
-
-# -------------------------------------------------------------------- driver
-
-
-def test_main_exit_codes(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n")
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import time\nt = time.time()\n")
-    assert main([str(clean)]) == 0
-    assert main([str(dirty)]) == 1
-    out = capsys.readouterr().out
-    assert "REPRO102" in out and "1 finding(s)" in out
-    assert main([]) == 2
-    assert main([str(tmp_path / "absent.py")]) == 2
-
-
-def test_module_entrypoint_runs():
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.verify.lint", str(SRC)],
-        capture_output=True, text=True,
-        cwd=str(SRC.parents[1].parent),
-        env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"},
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
 
 
 # ---------------------------------------------------------------- REPRO107

@@ -7,12 +7,13 @@ that with the strongest fingerprints the simulator has — ``Trace.digest``
 and ``events_fired``.
 """
 
+from repro.core.config import RunProfile
 from repro.topo.builder import ScenarioBuilder
 
 
 def traced_builder(protocol, seed, metrics):
-    builder = ScenarioBuilder(seed=seed, protocol=protocol, trace=True,
-                              metrics=metrics)
+    builder = ScenarioBuilder(seed=seed, protocol=protocol,
+                              profile=RunProfile(trace=True, metrics=metrics))
     builder.add_base("B")
     builder.add_pad("P1")
     builder.add_pad("P2")

@@ -769,15 +769,17 @@ class MacawMac(BaseMac):
 
     # ============================================================ helpers
     def _set_state(self, state: MacState) -> None:
-        if state is not self.state:
-            trace = self.sim.trace
-            if trace.enabled:
-                trace.record(
-                    self.sim.now, "state", self.name, frm=self.state.value, to=state.value
-                )
-            probe = self.probe
-            if probe is not None:
-                probe.note_state(self.state.value, state.value, self.sim.now)
+        old = self.state
+        if state is not old:
+            trace, probe = self.sim.trace, self.probe
+            if trace.enabled or probe is not None:
+                # ``_value_`` is the member's plain attribute; ``.value``
+                # goes through the Enum property descriptor.
+                frm, to = old._value_, state._value_
+                if trace.enabled:
+                    trace.record(self.sim.now, "state", self.name, frm=frm, to=to)
+                if probe is not None:
+                    probe.note_state(frm, to, self.sim.now)
             self.state = state
         if state is not MacState.CONTEND:
             self._contend_timer.stop()

@@ -168,11 +168,12 @@ class BaseMac(ReceiverPort):
         if not self.powered or self.medium.is_transmitting(self):
             return None
         self.stats.count_sent(frame.kind)
-        if self.sim.trace.enabled:
+        trace = self.sim.trace
+        if trace.enabled:
             # Structured fields feed the conformance sanitizer; the
             # human-readable "frame" string stays for debugging and the
             # existing trace-based tests.
-            self.sim.trace.record(
+            trace.record(
                 self.sim.now, "send", self.name,
                 frame=frame.describe(),
                 kind=frame.kind.value,

@@ -382,6 +382,11 @@ class Medium:
             del self._transmitting[tx.sender]
         trace = self.sim.trace
         record = trace.enabled
+        frame = tx.frame
+        if record:
+            # The frame's fields are the same for every receiver.
+            described, kind = frame.describe(), frame.kind.value
+            src, dst, esn, size = frame.src, frame.dst, frame.esn, frame.size_bytes
         carrier_count = self._carrier_count
         now = self.sim.now
         noise = bool(self._noise_models)
@@ -401,15 +406,10 @@ class Medium:
             if record:
                 trace.record(
                     now, "recv", port.name,
-                    frame=tx.frame.describe(),
-                    kind=tx.frame.kind.value,
-                    src=tx.frame.src,
-                    dst=tx.frame.dst,
-                    esn=tx.frame.esn,
-                    size=tx.frame.size_bytes,
+                    frame=described, kind=kind, src=src, dst=dst, esn=esn, size=size,
                     clean=clean,
                 )
-            port.on_frame(tx.frame, clean)
+            port.on_frame(frame, clean)
         # A powered-off radio does not observe its own transmit completion
         # (its last frame still occupied the air; see detach()).  Without
         # this check a dead station's completion callback could restart

@@ -10,18 +10,17 @@ of a 2000-second run is expensive.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, cast
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced protocol event."""
+class TraceRecord(NamedTuple):
+    """One traced protocol event (immutable: fields cannot be assigned)."""
 
     time: float
     category: str
     station: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any]
 
     def matches(self, category: Optional[str] = None, station: Optional[str] = None) -> bool:
         """Filter predicate used by :meth:`Trace.select`."""
@@ -32,6 +31,29 @@ class TraceRecord:
         return True
 
 
+#: Builds a record from one 4-tuple without the named tuple's Python-level
+#: ``__new__`` (the ``_make`` idiom, minus the classmethod call).
+_new_record = cast(Callable[[Type[TraceRecord], Tuple[Any, ...]], TraceRecord], tuple.__new__)
+
+#: Records rendered per ``hasher.update`` in :meth:`Trace.digest`.
+_DIGEST_CHUNK = 4096
+
+#: Per detail key shape: the whole-line format and the getter of the detail
+#: values in sorted-key order.
+_LineFormat = Tuple[str, Callable[[Dict[str, Any]], Tuple[Any, ...]]]
+
+
+def _line_format(shape: Tuple[str, ...]) -> _LineFormat:
+    keys = sorted(shape)
+    fmt = "%r|%s|%s|" + ",".join(f"{key.replace('%', '%%')}=%r" for key in keys) + "\n"
+    if len(keys) > 1:
+        return fmt, itemgetter(*keys)
+    # A one-key itemgetter returns the bare value, which ``%`` would
+    # unpack if it were a tuple; no call site records fewer than two keys
+    # often enough for this slower getter to matter.
+    return fmt, lambda detail: tuple(detail[key] for key in keys)
+
+
 class Trace:
     """Append-only record store with simple filtering.
 
@@ -39,21 +61,14 @@ class Trace:
     only one attribute check.
     """
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.capacity = capacity
         self._records: List[TraceRecord] = []
-        #: Count of records dropped after hitting ``capacity``.
-        self.dropped = 0
 
     def record(self, time: float, category: str, station: str, **detail: Any) -> None:
-        """Append a record (no-op when disabled; drops when at capacity)."""
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self._records) >= self.capacity:
-            self.dropped += 1
-            return
-        self._records.append(TraceRecord(time, category, station, detail))
+        """Append a record (no-op when disabled)."""
+        if self.enabled:
+            self._records.append(_new_record(TraceRecord, (time, category, station, detail)))
 
     def select(
         self, category: Optional[str] = None, station: Optional[str] = None
@@ -72,23 +87,36 @@ class Trace:
     def clear(self) -> None:
         """Discard all records (keeps the enabled flag)."""
         self._records.clear()
-        self.dropped = 0
 
     def digest(self) -> str:
         """SHA-256 over a canonical rendering of every record.
 
         Two runs of the same scenario under the same seed must produce
-        byte-identical digests — the determinism regression tests compare
-        exactly this.  Detail dicts are serialized with sorted keys and
-        ``repr`` values, so insertion order cannot leak into the digest.
+        byte-identical digests — the determinism regression tests and the
+        golden pins compare exactly this.  Each record renders as the UTF-8
+        line ``repr(time)|category|station|k1=repr(v1),k2=repr(v2),...``
+        with the detail keys sorted, so insertion order cannot leak into
+        the digest.  This method is the only definition of that format.
+
+        The format and value getter are built once per detail key shape
+        (call sites emit one shape each) and the lines are hashed in
+        chunks; SHA-256 of the concatenation does not depend on how it is
+        fed to the hasher.
         """
         hasher = hashlib.sha256()
-        for record in self._records:
-            detail = ",".join(
-                f"{key}={record.detail[key]!r}" for key in sorted(record.detail)
-            )
-            line = f"{record.time!r}|{record.category}|{record.station}|{detail}\n"
-            hasher.update(line.encode("utf-8"))
+        formats: Dict[Tuple[str, ...], _LineFormat] = {}
+        records = self._records
+        for start in range(0, len(records), _DIGEST_CHUNK):
+            lines: List[str] = []
+            append = lines.append
+            for time, category, station, detail in records[start:start + _DIGEST_CHUNK]:
+                shape = tuple(detail)
+                try:
+                    fmt, values = formats[shape]
+                except KeyError:
+                    fmt, values = formats[shape] = _line_format(shape)
+                append(fmt % (time, category, station, *values(detail)))
+            hasher.update("".join(lines).encode("utf-8"))
         return hasher.hexdigest()
 
     def __len__(self) -> int:

@@ -49,10 +49,11 @@ from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.fault import FaultSchedule
 from repro.mac import CsmaConfig, MacTiming
-from repro.runner import Cell, CellResult, ResultCache, expand_cells, run_cells
+from repro.runner import Cell, CellResult, ResultCache, expand_cells
 from repro.service.job import DEFAULT_JOB_DIR, Job, JobSpec
 from repro.service.orchestrator import run_job
 from repro.service.policy import AdaptiveSeeds, FixedSeeds, SeedPolicy
+from repro.service.scheduler import run_cells
 from repro.snapshot import Snapshot, fork
 from repro.topo import Scenario, ScenarioBuilder, Station
 from repro.topo import figures

@@ -28,8 +28,9 @@ Usage::
 
 ``--seeds`` accepts either a count (``--seeds 4`` runs seed..seed+3) or an
 explicit comma-separated list (``--seeds 0,1,2,3``).  ``--jobs N`` fans the
-experiment × seed grid out over N worker processes via
-:mod:`repro.runner`; results are byte-identical to a serial run.
+experiment × seed grid out over N worker processes via the cell scheduler
+(:mod:`repro.service.scheduler`); results are byte-identical to a serial
+run, and a worker that keeps dying or a cell that raises exits 1.
 ``--cache`` memoizes finished cells on disk (keyed by experiment, seed,
 bounds, runtime config and a source-tree content hash), and ``--digest``
 prints each cell's combined trace digest — the determinism fingerprint.
@@ -76,30 +77,12 @@ from typing import Dict, List, Optional
 
 from repro.experiments.base import SeedSweepResult
 from repro.experiments.registry import all_experiments, experiment_ids, get_experiment
+from repro.runner.cells import parse_seeds
 
 
-def _parse_seeds(spec: str, base: int) -> List[int]:
-    """Seed list from a ``--seeds`` value: a count, or a comma-joined list.
-
-    Raises ValueError on a malformed value; ``main`` reports it and
-    exits 2 like every other usage error.
-    """
-    if "," in spec:
-        seeds = [int(item) for item in spec.split(",") if item.strip()]
-        deduped = list(dict.fromkeys(seeds))
-        if len(deduped) != len(seeds):
-            # Silent double-counting would skew sweep means and pass
-            # rates; keep first occurrences, preserve order, say so once.
-            print(
-                f"macaw-sim: --seeds list {spec!r} contains duplicates; "
-                f"running each seed once ({len(deduped)} unique)",
-                file=sys.stderr,
-            )
-        return deduped
-    count = int(spec)
-    if count < 1:
-        raise ValueError(f"--seeds count must be >= 1, got {count}")
-    return list(range(base, base + count))
+def _warn(message: str) -> None:
+    """One ``macaw-sim:`` line on stderr (``--seeds`` duplicate notes)."""
+    print(f"macaw-sim: {message}", file=sys.stderr)
 
 
 def _add_run_options(parser: argparse.ArgumentParser, seeds: bool = True) -> None:
@@ -462,23 +445,27 @@ def _cmd_snapshot(argv: List[str]) -> int:
     experiments = _resolve_experiments(args.experiment)
     if experiments is None:
         return 2
+    duration = args.duration if args.duration is not None else args.at + 10.0
     try:
-        seeds = _parse_seeds(args.seeds, args.seed)
+        seeds = parse_seeds(args.seeds, args.seed, warn=_warn)
         schedule = _load_schedule(args.faults, args.chaos)
         if args.at <= 0:
             raise ValueError(f"--at must be > 0, got {args.at!r}")
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+        if duration <= args.at:
+            raise ValueError("--duration must exceed --at")
+        for exp in experiments:
+            exp.horizon(duration, 0.0)
     except ValueError as exc:
         print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
-    duration = args.duration if args.duration is not None else args.at + 10.0
-    if duration <= args.at:
-        print("macaw-sim: --duration must exceed --at", file=sys.stderr)
         return 2
 
     from pathlib import Path
 
     from repro.core.config import RunProfile, WarmStart
-    from repro.runner import expand_cells, run_cells
+    from repro.runner import expand_cells
+    from repro.service import CellFailure, WorkerDeath, run_cells
 
     try:
         profile = RunProfile(
@@ -501,7 +488,11 @@ def _cmd_snapshot(argv: List[str]) -> int:
         [exp.spec.exp_id for exp in experiments], seeds,
         duration=duration, warmup=0.0,
     )
-    run_cells(cells, jobs=args.jobs, profile=profile)
+    try:
+        run_cells(cells, jobs=args.jobs, profile=profile)
+    except (WorkerDeath, CellFailure) as exc:
+        print(f"macaw-sim: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
 
     store = Path(args.store)
@@ -720,7 +711,7 @@ def _cmd_sweep(argv: List[str]) -> int:
                     confidence=args.confidence,
                 )
             else:
-                seeds = _parse_seeds(args.seeds or "3", args.seed)
+                seeds = parse_seeds(args.seeds or "3", args.seed, warn=_warn)
                 policy = FixedSeeds(seeds=tuple(seeds))
             schedule = _load_schedule(args.faults, args.chaos)
             profile = RunProfile(faults=schedule, queue=args.queue)
@@ -878,7 +869,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     try:
-        seeds = _parse_seeds(args.seeds, args.seed)
+        seeds = parse_seeds(args.seeds, args.seed, warn=_warn)
     except ValueError as exc:
         message = str(exc)
         if "--seeds" not in message:
@@ -907,10 +898,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     from repro.core.config import RunProfile
-    from repro.runner import ResultCache, expand_cells, run_cells
+    from repro.runner import ResultCache, expand_cells
+    from repro.service import CellFailure, WorkerDeath, run_cells
 
     # The one profile of the invocation: it flows through run_cells into
-    # every cell, serially or across the worker pool.
+    # every cell, serially or into each worker process.
     try:
         profile = RunProfile(
             metrics=metrics_interval if metrics_on else None,
@@ -933,8 +925,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         [exp.spec.exp_id for exp in experiments], seeds,
         duration=args.duration, warmup=args.warmup,
     )
-    outcomes = run_cells(cells, jobs=args.jobs, cache=cache,
-                         collect_digests=args.digest, profile=profile)
+    try:
+        outcomes = run_cells(cells, jobs=args.jobs, cache=cache,
+                             collect_digests=args.digest, profile=profile)
+    except (WorkerDeath, CellFailure) as exc:
+        print(f"macaw-sim: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
 
     if metrics_on:

@@ -19,9 +19,9 @@ Two frozen dataclasses live here:
 
 * :class:`RunProfile` — every *run-level* knob (tracing, sanitizing,
   metrics, timing, queue capacity, bitrate, grid parameters, fault
-  schedule), and the only place to set one.  One profile object flows
-  unchanged through ``ScenarioBuilder``, ``Experiment.run``/``run_seeds``
-  and ``runner.run_cells``, and :meth:`RunProfile.digest` is what the
+  schedule, warm start), and the only place to set one.  One profile
+  object flows unchanged through ``ScenarioBuilder``, ``Experiment.run``
+  and ``service.run_cells``, and :meth:`RunProfile.digest` is what the
   result cache folds into its keys instead of ad-hoc config tuples.
 
 The :func:`active_profile` context manager provides the ambient-profile
@@ -241,11 +241,11 @@ class RunProfile:
 
     The single configuration object accepted by
     :class:`~repro.topo.builder.ScenarioBuilder` (``profile=``),
-    :meth:`Experiment.run`/:meth:`Experiment.run_seeds` and
-    :func:`repro.runner.run_cells`.  Seed, medium kind, protocol and
-    :class:`ProtocolConfig` stay separate — they are the *identity* of an
-    experiment variant, while the profile is how a run is executed and
-    observed (plus which faults are injected into it).
+    :meth:`Experiment.run` and :func:`repro.service.run_cells`.  Seed,
+    medium kind, protocol and :class:`ProtocolConfig` stay separate —
+    they are the *identity* of an experiment variant, while the profile
+    is how a run is executed and observed (plus which faults are
+    injected into it).
 
     Fields are normalized on construction so equal configurations compare
     (and hash) equal regardless of spelling: ``metrics=2`` becomes a
@@ -333,7 +333,7 @@ class RunProfile:
     def digest(self) -> str:
         """Stable content hash over every result-affecting knob.
 
-        This is what :func:`repro.runner.run_cells` folds into cache keys.
+        This is what :func:`repro.service.run_cells` folds into cache keys.
         ``timing`` serializes through its dataclass fields, ``metrics``
         through the resolved config, and ``faults`` through the
         schedule's canonical dict — an empty schedule was already

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import ComparisonTable
 from repro.core.config import RunProfile, active_profile
@@ -140,61 +140,16 @@ class Experiment(ABC):
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
         """Qualitative reproduction checks on the measured values."""
 
-    def run_seeds(
-        self,
-        seeds: Sequence[int],
-        duration: Optional[float] = None,
-        warmup: Optional[float] = None,
-        jobs: int = 1,
-        collect_digest: bool = False,
-        profile: Optional[RunProfile] = None,
-    ) -> "SeedSweepResult":
-        """Run the experiment once per seed and aggregate.
-
-        Single runs inherit the paper's methodology (the paper reports one
-        run per table); a sweep shows which outcomes are stable and which —
-        like who wins a capture battle — are seed lotteries.
-
-        ``jobs > 1`` fans the seeds out over worker processes via
-        :func:`repro.runner.run_cells`; per-seed results (tables, checks
-        and — with ``collect_digest`` — trace digests) are byte-identical
-        to a serial sweep.  Parallel dispatch requires the experiment to be
-        registered under its ``spec.exp_id`` (workers re-instantiate it
-        from the registry); unregistered subclasses fall back to serial.
-        """
-        if not seeds:
-            raise ValueError("need at least one seed")
-        if jobs > 1 and self._registered():
-            from repro.runner import Cell, run_cells
-
-            cells = [
-                Cell(exp_id=self.spec.exp_id, seed=s, duration=duration, warmup=warmup)
-                for s in seeds
-            ]
-            outcomes = run_cells(cells, jobs=jobs, collect_digests=collect_digest,
-                                 profile=profile)
-            results = [outcome.result for outcome in outcomes]
-        else:
-            results = [
-                self.run(seed=s, duration=duration, warmup=warmup,
-                         collect_digest=collect_digest, profile=profile)
-                for s in seeds
-            ]
-        return SeedSweepResult(spec=self.spec, results=results)
-
-    def _registered(self) -> bool:
-        """True when workers can recreate this experiment from the registry."""
-        from repro.experiments.registry import get_experiment
-
-        try:
-            return type(get_experiment(self.spec.exp_id)) is type(self)
-        except KeyError:
-            return False
-
 
 @dataclass
 class SeedSweepResult:
-    """Aggregate of one experiment across seeds."""
+    """Aggregate of one experiment across seeds.
+
+    Single runs inherit the paper's methodology (the paper reports one
+    run per table); a sweep shows which outcomes are stable and which —
+    like who wins a capture battle — are seed lotteries.  Build one from
+    per-seed :class:`ExperimentResult`s, however they were run.
+    """
 
     spec: ExperimentSpec
     results: List[ExperimentResult]

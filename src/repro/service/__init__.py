@@ -1,7 +1,10 @@
-"""Resumable sweep orchestration: jobs, journals, seed policies, retry.
+"""Cell grids over worker processes, and durable sweep jobs on top.
 
-The service layer turns one-shot :func:`repro.runner.run_cells` sweeps
-into durable *jobs*:
+:class:`CellScheduler` is the one worker model: every cell that runs
+outside the calling process — a :func:`run_cells` grid, a sweep job, a
+CLI ``--jobs N`` run — runs in its own worker, with retry-with-backoff
+on worker death.  The rest of the layer turns grids into durable
+*jobs*:
 
 * :class:`JobSpec` — the normalized, digest-keyed identity of a sweep
   (experiments × :class:`~repro.service.policy.SeedPolicy` ×
@@ -9,13 +12,11 @@ into durable *jobs*:
 * :class:`Journal` — the append-only, digest-chained JSONL record of
   completed cells that makes ``macaw-sim sweep --resume`` replay
   instantly and continue byte-identically;
-* :class:`CellScheduler` — per-cell worker processes with
-  retry-with-backoff on worker death;
 * :func:`run_job` / :func:`resume_job` — the orchestrator tying them
   together, with graceful SIGINT drain.
 
-Most callers want the :mod:`repro.api` facade (``sweep()``); this
-package is the engine underneath.
+Most callers want the :mod:`repro.api` facade (``sweep()``,
+``run_cells()``); this package is the engine underneath.
 """
 
 from repro.service.job import (
@@ -49,6 +50,8 @@ from repro.service.scheduler import (
     CellFailure,
     CellScheduler,
     WorkerDeath,
+    pin_profile,
+    run_cells,
 )
 
 __all__ = [
@@ -71,10 +74,12 @@ __all__ = [
     "ci_half_width",
     "digest_set_hash",
     "find_job",
+    "pin_profile",
     "policy_from_dict",
     "profile_from_dict",
     "profile_to_dict",
     "resume_job",
+    "run_cells",
     "run_job",
     "t_critical",
 ]

@@ -140,17 +140,15 @@ class JobSpec:
         if len(set(experiments)) != len(experiments):
             raise ValueError(f"duplicate experiments in {experiments!r}")
         for exp_id in experiments:
-            get_experiment(exp_id)  # raises KeyError on unknown ids
+            # KeyError on an unknown id; ValueError when the bounds leave
+            # this experiment no measurement window (a job that could
+            # never run must not get a journal).
+            get_experiment(exp_id).horizon(self.duration, self.warmup)
         object.__setattr__(self, "experiments", experiments)
         if not isinstance(self.policy, SeedPolicy):
             raise TypeError(f"policy expects a SeedPolicy, got {self.policy!r}")
         if not isinstance(self.profile, RunProfile):
             raise TypeError(f"profile expects a RunProfile, got {self.profile!r}")
-        if (self.duration is not None and self.warmup is not None
-                and self.warmup >= self.duration):
-            raise ValueError(
-                f"warmup {self.warmup} must precede duration {self.duration}"
-            )
 
     def but(self, **changes: Any) -> "JobSpec":
         return replace(self, **changes)

@@ -2,9 +2,10 @@
 
 One call to :func:`run_job` drives a whole campaign:
 
-1. **Normalize & pin.**  The spec's profile is pinned exactly the way
-   ``run_cells`` pins it (ambient sanitize/metrics resolved in the
-   parent), so a job produces byte-identical results at any ``jobs``.
+1. **Normalize & pin.**  The spec's profile goes through the same
+   :func:`~repro.service.scheduler.pin_profile` as ``run_cells``
+   (ambient sanitize/metrics resolved in the parent), so a job produces
+   byte-identical results at any ``jobs``.
 2. **Replay.**  An existing journal for the job is loaded and chain-
    verified; completed cells are *replayed* — their digests and metric
    values come from the journal, their full results from the
@@ -37,7 +38,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs.runtime import resolve_metrics
 from repro.runner.cache import ResultCache, code_version, profile_hash
 from repro.runner.cells import Cell, CellResult
 from repro.service.job import DEFAULT_JOB_DIR, Job, JobSpec
@@ -47,8 +47,8 @@ from repro.service.scheduler import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
     CellScheduler,
+    pin_profile,
 )
-from repro.verify.runtime import sanitize_enabled
 
 __all__ = ["run_job", "resume_job"]
 
@@ -93,15 +93,6 @@ class _ConfigState:
     def metric_series(self) -> List[float]:
         """Metric values in seed-allocation order (the policy's input)."""
         return [self.metrics[seed] for seed in self.allocated]
-
-
-def _pin(spec: JobSpec) -> Tuple[Any, str]:
-    """Pin ambient knobs into the profile; return (profile, cache config)."""
-    pinned = spec.profile.but(
-        sanitize=sanitize_enabled(spec.profile.sanitize),
-        metrics=resolve_metrics(spec.profile.metrics) or False,
-    )
-    return pinned, profile_hash(pinned, spec.collect_digests)
 
 
 def _cell(spec: JobSpec, exp_id: str, seed: int) -> Cell:
@@ -151,7 +142,8 @@ def run_job(
     job.write_spec()
     if cache is None:
         cache = ResultCache()
-    pinned, config = _pin(spec)
+    pinned = pin_profile(spec.profile)
+    config = profile_hash(pinned, spec.collect_digests)
     journal = job.journal()
     progress = _Progress(job.progress_path, on_event)
 

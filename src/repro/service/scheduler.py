@@ -1,23 +1,24 @@
-"""Retrying cell scheduler: fan cells to workers, survive worker death.
+"""Cell scheduling: the one way experiment cells reach worker processes.
 
-The plain :func:`repro.runner.run_cells` pool assumes every worker lives
-to return its result — fine for a one-shot sweep, wrong for a
-long-running job where an OOM kill or a node reaper must not sink the
-whole campaign.  This scheduler runs **one process per cell** (reusing
+:class:`CellScheduler` runs **one process per cell** (reusing
 :func:`repro.runner.parallel.execute_cell`, so results are byte-identical
-to ``run_cells``), watches child exit codes, and re-dispatches a cell
+to an inline run), watches child exit codes, and re-dispatches a cell
 whose worker died without reporting — with exponential backoff, up to a
-retry cap.  An exception *inside* the cell (deterministic: it would fail
-every retry) is not retried; it surfaces immediately.
+retry cap — so an OOM kill or a node reaper cannot sink a whole grid.
+An exception *inside* the cell (deterministic: it would fail every
+retry) is not retried; it surfaces as :class:`CellFailure`, carrying the
+child's traceback.
 
-Cells are submitted incrementally (the adaptive seed policy extends a
-job mid-flight) and reaped in completion order; determinism is the
-caller's concern — every cell is an independent seeded universe, so
-arrival order never affects results, and the orchestrator journals and
-re-orders them by identity.
+Two callers sit on it.  :func:`run_cells` runs a fixed grid and returns
+results in input order; the sweep orchestrator
+(:mod:`repro.service.orchestrator`) submits cells incrementally (the
+adaptive seed policy extends a job mid-flight) and journals them by
+identity.  Cells are reaped in completion order; every cell is an
+independent seeded universe, so arrival order never affects results.
 
 ``jobs=1`` executes inline in the calling process: no subprocesses, no
-retry machinery (there is no worker to die), identical results.
+retry machinery (there is no worker to die), identical results, and an
+in-cell exception propagates unchanged.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunProfile
+from repro.obs.runtime import resolve_metrics
+from repro.runner.cache import ResultCache, profile_hash
 from repro.runner.cells import Cell, CellResult
-from repro.runner.parallel import _preferred_context, execute_cell
+from repro.runner.parallel import execute_cell
+from repro.verify.runtime import sanitize_enabled
 
 __all__ = [
     "ATTEMPT_ENV",
@@ -42,6 +46,9 @@ __all__ = [
     "CellScheduler",
     "Reaped",
     "WorkerDeath",
+    "pin_profile",
+    "run_cells",
+    "worker_context",
 ]
 
 #: Environment variable naming the dispatch attempt (1-based) inside a
@@ -54,6 +61,26 @@ DEFAULT_RETRIES = 2
 
 #: Default backoff base: retry N waits backoff * 2**(N-1) wall seconds.
 DEFAULT_BACKOFF_S = 0.5
+
+
+def worker_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap, inherits the imported tree), else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def pin_profile(profile: RunProfile) -> RunProfile:
+    """``profile`` with the ambient sanitize/metrics switches made concrete.
+
+    Workers must not re-consult environment blocks (``with sanitized():``,
+    ``collecting(...)``) they never entered, so every profile a scheduler
+    ships is pinned in the parent first; a worker then runs exactly what
+    an inline run would.
+    """
+    return profile.but(
+        sanitize=sanitize_enabled(profile.sanitize),
+        metrics=resolve_metrics(profile.metrics) or False,
+    )
 
 
 class WorkerDeath(RuntimeError):
@@ -110,7 +137,7 @@ class _Queued:
 
 @dataclass
 class Reaped:
-    """One completed cell handed back to the orchestrator."""
+    """One completed cell handed back to the caller."""
 
     key: Any
     result: CellResult
@@ -119,7 +146,11 @@ class Reaped:
 
 @dataclass
 class CellScheduler:
-    """Dispatch cells to (at most ``jobs``) workers; reap as they finish."""
+    """Dispatch cells to (at most ``jobs``) workers; reap as they finish.
+
+    ``profile`` ships to every worker as is, so pass it through
+    :func:`pin_profile` first.
+    """
 
     profile: RunProfile
     collect_digests: bool = True
@@ -136,7 +167,7 @@ class CellScheduler:
             raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries!r}")
-        self._ctx = _preferred_context() if self.jobs > 1 else None
+        self._ctx = worker_context() if self.jobs > 1 else None
 
     # ------------------------------------------------------------- submit
     def submit(self, key: Any, cell: Cell) -> None:
@@ -283,3 +314,68 @@ class CellScheduler:
             flight.conn.close()
         self._running = []
         self._queue = []
+
+
+def run_cells(
+    cells: Sequence[Cell],
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    collect_digests: bool = False,
+    profile: Optional[RunProfile] = None,
+) -> List[CellResult]:
+    """Run every cell and return results in input order.
+
+    Parameters
+    ----------
+    cells:
+        The (experiment, seed) grid to run; see
+        :func:`repro.runner.cells.expand_cells`.
+    jobs:
+        Worker processes.  1 runs serially in-process; N > 1 runs each
+        cell in its own worker, at most N at a time, retrying a worker
+        that dies (:class:`WorkerDeath` once the retry budget is spent)
+        and raising :class:`CellFailure` for an exception inside a cell.
+    cache:
+        Optional :class:`ResultCache`; hits skip the run entirely, misses
+        are stored as they complete.  The cache key folds in the pinned
+        profile digest, digest collection and the source-tree content
+        hash.
+    collect_digests:
+        Capture per-cell combined trace digests (forces tracing on inside
+        the runs — the equivalence contract between serial and parallel).
+    profile:
+        The :class:`~repro.core.config.RunProfile` every cell runs under
+        (sanitizer, metrics, faults, timing, warm start, …).  None adopts
+        the ambient profile (:func:`~repro.core.config.active_profile`)
+        or defaults.  It is pinned (:func:`pin_profile`) in the parent,
+        so serial and parallel execution see identical configuration.
+    """
+    pinned = pin_profile(profile if profile is not None else RunProfile.current())
+    scheduler = CellScheduler(profile=pinned, collect_digests=collect_digests,
+                              jobs=jobs)
+    config = profile_hash(pinned, collect_digests)
+
+    results: List[Optional[CellResult]] = []
+    for index, cell in enumerate(cell.resolved() for cell in cells):
+        hit = cache.get(cell, config) if cache is not None else None
+        results.append(hit)
+        if hit is None:
+            scheduler.submit(index, cell)
+
+    # Results are stored (and cached) as they *complete*, not after the
+    # whole grid finishes: a KeyboardInterrupt mid-grid leaves every
+    # finished cell flushed to the cache, so the re-run after a ^C is
+    # pure hits up to the interruption point.  The submit key is the
+    # grid index, so output order — and hence serial/parallel
+    # byte-equality — does not depend on completion order.
+    try:
+        while scheduler.outstanding:
+            for done in scheduler.reap():
+                results[done.key] = done.result
+                if cache is not None:
+                    cache.put(done.result, config)
+    finally:
+        # Nothing is in flight after a normal finish; after ^C or a
+        # failed cell the remaining workers are killed, not leaked.
+        scheduler.close(terminate=True)
+    return [result for result in results if result is not None]

@@ -17,7 +17,8 @@ Entry points:
 * :func:`apply_warm_start` — the keyed-store hook
   :meth:`ScenarioBuilder.build` calls when the profile carries a
   :class:`~repro.core.config.WarmStart`; sweeps reach it through
-  ``run_cells(warm_start=...)`` or the CLI's ``--warm-start``.
+  ``run_cells(profile=RunProfile(warm_start=...))`` or the CLI's
+  ``--warm-start``.
 
 See DESIGN.md §11 for the callback-descriptor registry, the versioning
 policy, and the deliberate exclusions.

@@ -1,11 +1,11 @@
 """Warm-start plumbing: keyed snapshot stores for sweep fan-out.
 
-A sweep cell asking for ``warm_start=WarmStart(at=T, store=DIR)`` gets
+A sweep cell whose profile carries ``WarmStart(at=T, store=DIR)`` gets
 its scenario through this module: the builder's canonical spec, the
 physics profile digest, the capture time and the code version hash into
 a store key; a hit restores the snapshot into the fresh build, a miss
 runs the warm-up once, captures, and saves (atomically, so concurrent
-pool workers racing on the same key both land a complete file and
+workers racing on the same key both land a complete file and
 ``os.replace`` makes last-writer-wins safe).
 
 The key deliberately excludes the store *path* — two stores holding

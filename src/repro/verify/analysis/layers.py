@@ -8,8 +8,8 @@ The reproduction is layered bottom-up::
 vocabulary; it and ``mac`` are one layer — they import each other by
 design.)  A module may import its own layer and anything *below* it.
 The service subsystems — observability, fault injection, verification,
-the sweep runner and the CLI — sit beside the stack and reach into it
-only through **declared hook points**:
+the cell runner, the sweep service and the CLI — sit beside the stack
+and reach into it only through **declared hook points**:
 
 * ``topo/builder.py`` is the wiring hook: the one stack module allowed
   to import ``obs``, ``verify`` and ``fault`` (ScenarioBuilder installs
@@ -66,7 +66,7 @@ LAYER_ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "net": frozenset(_STACK_BELOW_TOPO),
     "topo": frozenset(_STACK_ALL),
     "experiments": frozenset(
-        _STACK_ALL | {"experiments", "analysis", "runner", "verify"}
+        _STACK_ALL | {"experiments", "analysis", "verify"}
     ),
     # Result analysis (tables/metrics) reads the stack's outputs.
     "analysis": frozenset(_STACK_ALL | {"analysis"}),
@@ -80,13 +80,15 @@ LAYER_ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     # Checkpoint/restore spans the whole stack by design: it captures
     # every layer's state and keys warm-start stores off the runner's
     # code-version hash.  It sits *above* runner (runner never imports
-    # snapshot; run_cells only carries core's WarmStart descriptor).
+    # snapshot; a cell's profile only carries core's WarmStart
+    # descriptor).
     "snapshot": frozenset(
         _STACK_ALL | {"fault", "obs", "runner", "snapshot"}
     ),
-    # The sweep service orchestrates runner cells under policies: it
-    # sits above runner (journal + scheduler + seed policy) and, like
-    # runner, pins ambient obs/verify switches into the profile.
+    # The service layer owns the worker model (CellScheduler, run_cells)
+    # and the sweep jobs built on it: it sits above runner (journal +
+    # scheduler + seed policy) and pins ambient obs/verify switches into
+    # the profile before cells ship to workers.
     "service": frozenset(
         _STACK_ALL | {"experiments", "obs", "verify", "fault",
                       "runner", "service"}

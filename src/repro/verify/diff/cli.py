@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.registry import all_experiments, get_experiment
+from repro.runner.cells import parse_seeds
 from repro.verify.diff.fuzz import (
     DEFAULT_CASE_DURATION_S,
     experiment_repro,
@@ -32,15 +33,6 @@ def _parse_queues(spec: str) -> List[str]:
     if not queues:
         raise ValueError(f"--queues needs at least one backend, got {spec!r}")
     return queues
-
-
-def _parse_seed_list(spec: str, base: int) -> List[int]:
-    if "," in spec:
-        return [int(item) for item in spec.split(",") if item.strip()]
-    count = int(spec)
-    if count < 1:
-        raise ValueError(f"--seeds count must be >= 1, got {count}")
-    return list(range(base, base + count))
 
 
 def main_diff(argv: Optional[List[str]] = None) -> int:
@@ -88,7 +80,11 @@ def main_diff(argv: Optional[List[str]] = None) -> int:
         exp_ids.append(name)
 
     try:
-        seeds = _parse_seed_list(args.seeds, args.seed)
+        seeds = parse_seeds(
+            args.seeds, args.seed,
+            warn=lambda message: print(f"macaw-sim diff: {message}",
+                                       file=sys.stderr),
+        )
         queues = _parse_queues(args.queues)
         modes = full_matrix(queues) if args.full else default_matrix(queues)
         oracle = DiffOracle(

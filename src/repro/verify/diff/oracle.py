@@ -4,7 +4,7 @@ Two granularities share the same mode matrix:
 
 * :class:`DiffOracle` runs registered *experiments* (an experiment ×
   seed grid) under every :class:`~repro.verify.diff.modes.ExecMode` via
-  the public runner surface (:func:`repro.runner.run_cells` — the same
+  the public grid surface (:func:`repro.service.run_cells` — the same
   machinery ``repro.api`` drives) and compares per-cell digests.
 * :class:`ScenarioOracle` runs one *scenario case* (anything exposing
   ``build_builder(profile)``/``duration`` — the fuzzer's generated
@@ -19,7 +19,6 @@ exactly the path PR 8's invariant promises is byte-identical.
 
 from __future__ import annotations
 
-import multiprocessing
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import RunProfile, WarmStart
 from repro.experiments.registry import get_experiment
 from repro.runner.cells import Cell, expand_cells
-from repro.runner.parallel import run_cells
 from repro.service.job import profile_from_dict, profile_to_dict
+from repro.service.scheduler import run_cells, worker_context
 from repro.snapshot import Snapshot
 from repro.verify.diff.bisect import Replay, ScenarioRun
 from repro.verify.diff.modes import ExecMode, default_matrix
@@ -153,7 +152,7 @@ class DiffOracle:
         """A :data:`~repro.verify.diff.bisect.Replay` for one (cell, mode).
 
         Replays run in-process regardless of the mode's ``jobs`` axis
-        (a worker pool cannot be horizon-shrunk record-by-record); a
+        (a worker process cannot be horizon-shrunk record-by-record); a
         divergence that only manifests across process boundaries will
         come back "did not reproduce" rather than mislocalized.  The
         snapshot axis keeps its roundtrip whenever the horizon extends
@@ -301,14 +300,13 @@ def _case_in_subprocess(case: Any, mode: ExecMode, profile: RunProfile,
                         duration: float, traced: bool) -> ScenarioRun:
     """The jobs axis at scenario granularity: one run in a pool worker.
 
-    Exercises the same process boundary the experiment runner's pool
-    crosses (fork where available, spawn otherwise).
+    Exercises the same process boundary the cell scheduler's workers
+    cross (:func:`~repro.service.scheduler.worker_context`: fork where
+    available, spawn otherwise).
     """
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     payload = (
         case.to_dict(), mode.to_dict(), profile_to_dict(profile),
         duration, traced,
     )
-    with ctx.Pool(processes=1) as pool:
+    with worker_context().Pool(processes=1) as pool:
         return pool.apply(_case_worker, (payload,))

@@ -5,7 +5,8 @@ import pytest
 from repro.core.config import RunProfile, active_profile, ambient_profile
 from repro.fault import FaultSchedule, LinkFlap
 from repro.obs.runtime import MetricsConfig
-from repro.runner import Cell, run_cells
+from repro.runner import Cell
+from repro.service import run_cells
 from repro.topo.builder import ScenarioBuilder
 
 
@@ -127,6 +128,9 @@ def test_pre_profile_kwargs_are_type_errors():
     with pytest.raises(TypeError):
         run_cells([Cell("table9", seed=0, duration=1.0, warmup=0.5)],
                   metrics_interval=1.0)
+    with pytest.raises(TypeError):
+        run_cells([Cell("table9", seed=0, duration=1.0, warmup=0.5)],
+                  warm_start=None)
 
 
 def test_unknown_builder_kwarg_is_a_type_error():

@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.experiments.base import SeedSweepResult
 from repro.experiments.registry import get_experiment
 
 
-def test_run_seeds_aggregates_means_and_rates():
+def _sweep(seeds):
     exp = get_experiment("table9")
-    sweep = exp.run_seeds([0, 1], duration=60.0, warmup=10.0)
+    return SeedSweepResult(exp.spec, [
+        exp.run(seed=s, duration=60.0, warmup=10.0) for s in seeds
+    ])
+
+
+def test_seed_sweep_aggregates_means_and_rates():
+    sweep = _sweep([0, 1])
     assert len(sweep.results) == 2
     mean = sweep.mean_table()
     singles = [r.table.value("MACA (RTS-CTS-DATA)", "P-B") for r in sweep.results]
@@ -19,19 +26,12 @@ def test_run_seeds_aggregates_means_and_rates():
     assert all(0.0 <= r <= 1.0 for r in rates.values())
 
 
-def test_run_seeds_requires_seeds():
-    with pytest.raises(ValueError):
-        get_experiment("table9").run_seeds([])
-
-
 def test_render_shows_percentages():
-    sweep = get_experiment("table9").run_seeds([0], duration=60.0, warmup=10.0)
-    out = sweep.render()
+    out = _sweep([0]).render()
     assert "mean of 1 seeds" in out
     assert "%]" in out
 
 
 def test_mean_table_preserves_paper_values():
-    sweep = get_experiment("table9").run_seeds([0, 1], duration=60.0, warmup=10.0)
-    mean = sweep.mean_table()
+    mean = _sweep([0, 1]).mean_table()
     assert mean.paper["MACA (RTS-CTS-DATA)"]["P-B"] == 53.04

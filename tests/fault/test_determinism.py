@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.config import RunProfile
 from repro.fault import FaultSchedule, GilbertElliott, LinkFlapProcess, PoissonChurn
-from repro.runner import expand_cells, run_cells
+from repro.runner import expand_cells
+from repro.service import run_cells
 from repro.topo.builder import ScenarioBuilder
 
 #: Short horizon — determinism, not accuracy, is under test.

@@ -1,7 +1,8 @@
 """On-disk result cache: round-trips, key sensitivity, corruption safety."""
 
 from repro.core.config import RunProfile
-from repro.runner import Cell, ResultCache, profile_hash, run_cells
+from repro.runner import Cell, ResultCache, profile_hash
+from repro.service import run_cells
 
 
 def _run_one(cache, collect=True):

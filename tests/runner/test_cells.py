@@ -2,6 +2,8 @@
 
 import pickle
 
+import pytest
+
 from repro.experiments.registry import get_experiment
 from repro.runner import Cell, expand_cells
 
@@ -26,6 +28,14 @@ def test_resolved_pins_experiment_defaults():
     # Explicit values survive resolution untouched.
     pinned = Cell("table9", seed=3, duration=40.0, warmup=10.0)
     assert pinned.resolved() is pinned
+
+
+def test_resolved_rejects_bounds_without_a_measurement_window():
+    # Table 8 measures from t=120 s, so a 60 s run has nothing to measure.
+    with pytest.raises(ValueError, match="t=120 s"):
+        Cell("table8", seed=0, duration=60.0).resolved()
+    with pytest.raises(ValueError, match="t=10 s"):
+        Cell("table9", seed=0, duration=10.0, warmup=10.0).resolved()
 
 
 def test_explicit_defaults_resolve_to_same_cell_as_implied():

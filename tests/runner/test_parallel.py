@@ -9,8 +9,8 @@ paths and diff everything observable.
 import pytest
 
 from repro.core.config import RunProfile
-from repro.experiments.registry import get_experiment
-from repro.runner import Cell, expand_cells, run_cells
+from repro.runner import Cell, expand_cells
+from repro.service import run_cells
 
 #: Short bounds keep each cell ~1 s; equality, not accuracy, is under test.
 BOUNDS = dict(duration=30.0, warmup=5.0)
@@ -42,19 +42,6 @@ def test_run_cells_mixed_experiments_keep_input_order():
     outcomes = run_cells(cells, jobs=2, collect_digests=True)
     assert [o.cell.exp_id for o in outcomes] == ["table9", "table3"]
     assert [o.cell for o in outcomes] == [c.resolved() for c in cells]
-
-
-def test_run_seeds_jobs_matches_serial_sweep():
-    exp = get_experiment("table9")
-    serial = exp.run_seeds([0, 1], jobs=1, collect_digest=True, **BOUNDS)
-    parallel = exp.run_seeds([0, 1], jobs=2, collect_digest=True, **BOUNDS)
-    assert [r.seed for r in serial.results] == [r.seed for r in parallel.results]
-    for ours, theirs in zip(serial.results, parallel.results):
-        assert ours.digest == theirs.digest
-        assert ours.checks == theirs.checks
-        assert ours.table.render() == theirs.table.render()
-    assert serial.mean_table().render() == parallel.mean_table().render()
-    assert serial.check_pass_rates() == parallel.check_pass_rates()
 
 
 def test_digests_are_seed_sensitive():

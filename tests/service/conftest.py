@@ -6,6 +6,7 @@ table runs needed to exercise scheduling, journaling, and retry.
 """
 
 import os
+import signal
 from typing import Dict
 
 import pytest
@@ -99,7 +100,23 @@ class RaisesInside(FastContention):
         raise ValueError("deliberate in-cell failure")
 
 
-_FAKES = (FastContention, CrashOnce, AlwaysCrash, RaisesInside)
+class ReportsPid(FastContention):
+    """Records the pid of the process that ran the cell (no simulation)."""
+
+    spec = ExperimentSpec(
+        exp_id="svc-pid",
+        title="service test: which process ran the cell",
+        figure="",
+        description="pid-reporting cell for worker-placement tests",
+    )
+
+    def _run(self, seed: int, duration: float, warmup: float) -> ComparisonTable:
+        table = ComparisonTable(self.spec.title)
+        table.add("pid", "pid", float(os.getpid()), None)
+        return table
+
+
+_FAKES = (FastContention, CrashOnce, AlwaysCrash, RaisesInside, ReportsPid)
 
 
 @pytest.fixture
@@ -112,3 +129,22 @@ def fake_experiments():
     finally:
         for cls in _FAKES:
             registry._FACTORIES.pop(cls.spec.exp_id, None)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that outlives 60 s instead of letting it hang.
+
+    For calls whose failure mode is a hang (a worker pool waiting on a
+    dead worker forever): SIGALRM interrupts the blocked wait.
+    """
+    def expire(signum, frame):
+        raise TimeoutError("test still running after its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -36,6 +36,12 @@ def test_spec_validates_bounds_and_types():
         _spec(profile={"trace": True})
 
 
+def test_spec_checks_every_experiments_horizon():
+    # Table 8 measures from t=120 s whatever the warm-up says.
+    with pytest.raises(ValueError, match="t=120 s"):
+        _spec(experiments=("table9", "table8"), duration=60.0, warmup=None)
+
+
 def test_spec_digest_stable_and_content_sensitive():
     assert _spec().digest() == _spec().digest()
     assert _spec().job_id == _spec().digest()[:12]

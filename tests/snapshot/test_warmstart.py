@@ -1,17 +1,18 @@
 """Warm-start sweeps: keyed stores, run_cells integration, cache keys.
 
-The acceptance contract: ``run_cells(warm_start=...)`` produces per-cell
-digests byte-identical to cold runs while simulating measurably fewer
-in-process events, and the warm-start descriptor folds into the profile
-digest so warm results can never be served from (or poison) cold cache
-entries.
+The acceptance contract: ``run_cells(profile=RunProfile(warm_start=...))``
+produces per-cell digests byte-identical to cold runs while simulating
+measurably fewer in-process events, and the warm-start descriptor folds
+into the profile digest so warm results can never be served from (or
+poison) cold cache entries.
 """
 
 import pytest
 
 from repro.core.config import RunProfile, WarmStart
-from repro.runner import expand_cells, run_cells
+from repro.runner import expand_cells
 from repro.runner.cache import ResultCache
+from repro.service import run_cells
 from repro.snapshot import store_digest, warm_key
 from repro.topo.figures import fig2_two_pads
 
@@ -23,6 +24,10 @@ def warm(tmp_path, **kwargs):
     return WarmStart(at=BRANCH_AT, store=str(tmp_path / "store"), **kwargs)
 
 
+def warm_profile(tmp_path, **kwargs):
+    return RunProfile(warm_start=warm(tmp_path, **kwargs))
+
+
 def digests(outcomes):
     return [(o.cell, o.digest) for o in outcomes]
 
@@ -32,9 +37,9 @@ def test_warm_run_cells_matches_cold_digests(tmp_path):
     cells = expand_cells(["table9"], [0, 1], **BOUNDS)
     cold = run_cells(cells, jobs=1, collect_digests=True)
     priming = run_cells(cells, jobs=1, collect_digests=True,
-                        warm_start=warm(tmp_path))
+                        profile=warm_profile(tmp_path))
     restoring = run_cells(cells, jobs=1, collect_digests=True,
-                          warm_start=warm(tmp_path))
+                          profile=warm_profile(tmp_path))
     assert digests(priming) == digests(cold)
     assert digests(restoring) == digests(cold)
     assert all(o.digest is not None for o in cold)
@@ -44,14 +49,14 @@ def test_warm_store_holds_one_snapshot_per_variant(tmp_path):
     # table9 builds two scenarios per seed (maca + macaw), each with its
     # own builder spec and hence its own store key.
     run_cells(expand_cells(["table9"], [0], **BOUNDS), jobs=1,
-              warm_start=warm(tmp_path))
+              profile=warm_profile(tmp_path))
     store = tmp_path / "store"
     first = sorted(p.name for p in store.glob("*.snap"))
     assert len(first) == 2
     # A second run restores: no new keys, contents untouched.
     before = {p.name: p.read_bytes() for p in store.glob("*.snap")}
     run_cells(expand_cells(["table9"], [0], **BOUNDS), jobs=1,
-              warm_start=warm(tmp_path))
+              profile=warm_profile(tmp_path))
     assert sorted(p.name for p in store.glob("*.snap")) == first
     assert {p.name: p.read_bytes() for p in store.glob("*.snap")} == before
 
@@ -131,7 +136,7 @@ def test_store_digest_tracks_contents(tmp_path):
     store = tmp_path / "store"
     assert store_digest(store) is None
     run_cells(expand_cells(["table9"], [0], **BOUNDS), jobs=1,
-              warm_start=warm(tmp_path))
+              profile=warm_profile(tmp_path))
     first = store_digest(store)
     assert first is not None
     assert store_digest(store) == first
@@ -163,10 +168,10 @@ def test_warm_results_never_collide_with_cold_cache_entries(tmp_path):
     # Same cells, warm profile: a fresh run (and a fresh cache row), not
     # a hit on the cold entry.
     warm_first = run_cells(cells, jobs=1, cache=cache, collect_digests=True,
-                           warm_start=warm(tmp_path, digest="primed"))
+                           profile=warm_profile(tmp_path, digest="primed"))
     assert warm_first[0].cached is False
     warm_again = run_cells(cells, jobs=1, cache=cache, collect_digests=True,
-                           warm_start=warm(tmp_path, digest="primed"))
+                           profile=warm_profile(tmp_path, digest="primed"))
     assert warm_again[0].cached is True
     cold_again = run_cells(cells, jobs=1, cache=cache, collect_digests=True)
     assert cold_again[0].cached is True

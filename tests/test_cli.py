@@ -120,6 +120,33 @@ def test_warmup_past_duration_returns_2(capsys):
     assert "t=10 s" in _usage_error_line(capsys)
 
 
+def test_sweep_horizon_before_measurement_start_returns_2(tmp_path, capsys):
+    jobs = tmp_path / "jobs"
+    assert main(["sweep", "table2", "--duration", "5",
+                 "--job-dir", str(jobs),
+                 "--cache-dir", str(tmp_path / "cache")]) == 2
+    assert "t=50 s" in _usage_error_line(capsys)
+    assert not jobs.exists()  # no journal for a job that can never run
+
+
+def test_snapshot_default_horizon_before_measurement_start_returns_2(
+    tmp_path, capsys
+):
+    # --at 50 makes the warming run 60 s; Table 8 measures from 120 s.
+    store = tmp_path / "snaps"
+    assert main(["snapshot", "table8", "--store", str(store)]) == 2
+    assert "t=120 s" in _usage_error_line(capsys)
+    assert not store.exists()
+
+
+def test_snapshot_nonpositive_jobs_returns_2(tmp_path, capsys):
+    store = tmp_path / "snaps"
+    assert main(["snapshot", "table9", "--jobs", "0",
+                 "--store", str(store)]) == 2
+    assert "--jobs must be >= 1" in _usage_error_line(capsys)
+    assert not store.exists()
+
+
 def test_jobs_flag_produces_identical_output_to_serial(capsys):
     argv = ["table9", "--duration", "30", "--warmup", "5",
             "--seeds", "0,1", "--digest"]

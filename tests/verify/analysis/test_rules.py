@@ -419,12 +419,12 @@ def test_repro116_diff_subtree_and_other_namespaces_clean():
 
 
 def test_repro110_diff_subtree_may_import_the_whole_tree():
-    src = ("from repro.runner.parallel import run_cells\n"
+    src = ("from repro.service.scheduler import run_cells\n"
            "from repro.service.job import profile_to_dict\n"
            "from repro.snapshot import Snapshot\n"
            "x = (run_cells, profile_to_dict, Snapshot)\n")
     assert "REPRO110" not in codes(src, path="repro/verify/diff/oracle.py")
     # The rest of verify keeps its narrow surface.
-    outside = ("from repro.runner.parallel import run_cells\n"
+    outside = ("from repro.service.scheduler import run_cells\n"
                "x = run_cells\n")
     assert "REPRO110" in codes(outside, path="repro/verify/conformance.py")

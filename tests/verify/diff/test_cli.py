@@ -14,6 +14,24 @@ def test_diff_unknown_queue_exits_2(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_diff_horizon_before_measurement_start_exits_2(tmp_path, capsys):
+    out = tmp_path / "repro.json"
+    assert main_diff(["table8", "--duration", "60", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("macaw-sim diff: ") and "\n" not in err, err
+    assert "t=120 s" in err
+    assert not out.exists()
+
+
+def test_diff_duplicate_seeds_run_once(capsys):
+    code = main_diff(["table9", "--seeds", "0,0", "--duration", "20",
+                      "--warmup", "5"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "diff: 1 cell(s)" in captured.out
+    assert "contains duplicates" in captured.err
+
+
 def test_fuzz_bad_seed_exits_2(capsys):
     assert main_fuzz(["--seed", "nope"]) == 2
     assert "from-run-id" in capsys.readouterr().err

@@ -51,6 +51,10 @@ from repro.mac.timing import MacTiming
 from repro.phy.medium import Medium, Transmission
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
+from repro.sim.trace import RecordShape
+
+#: Detail keys of a ``state`` trace record, in the order its values are passed.
+STATE_SHAPE = RecordShape(("frm", "to"))
 
 
 class MacawMac(BaseMac):
@@ -777,7 +781,7 @@ class MacawMac(BaseMac):
                 # goes through the Enum property descriptor.
                 frm, to = old._value_, state._value_
                 if trace.enabled:
-                    trace.record(self.sim.now, "state", self.name, frm=frm, to=to)
+                    trace.record(self.sim.now, "state", self.name, STATE_SHAPE, frm, to)
                 if probe is not None:
                     probe.note_state(frm, to, self.sim.now)
             self.state = state

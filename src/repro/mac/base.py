@@ -22,8 +22,14 @@ from repro.mac.frames import Frame, FrameType
 from repro.mac.timing import MacTiming
 from repro.phy.medium import Medium, ReceiverPort, Transmission
 from repro.sim.kernel import Simulator
+from repro.sim.trace import RecordShape
 
-__all__ = ["MacState", "MacStats", "BaseMac"]
+__all__ = ["MacState", "MacStats", "BaseMac", "POWER_SHAPE", "SEND_SHAPE"]
+
+#: Detail keys of the ``power`` and ``send`` trace records, in the order
+#: their values are passed.
+POWER_SHAPE = RecordShape(("on",))
+SEND_SHAPE = RecordShape(("data_bytes", "dst", "esn", "frame", "kind", "retry", "size", "src"))
 
 
 class MacState(Enum):
@@ -142,7 +148,7 @@ class BaseMac(ReceiverPort):
         if not self.powered:
             return
         self.powered = False
-        self.sim.trace.record(self.sim.now, "power", self.name, on=False)
+        self.sim.trace.record(self.sim.now, "power", self.name, POWER_SHAPE, False)
         self.medium.detach(self)
         self._on_power_change(False)
 
@@ -151,7 +157,7 @@ class BaseMac(ReceiverPort):
         if self.powered:
             return
         self.powered = True
-        self.sim.trace.record(self.sim.now, "power", self.name, on=True)
+        self.sim.trace.record(self.sim.now, "power", self.name, POWER_SHAPE, True)
         self.medium.attach(self)
         self._on_power_change(True)
 
@@ -174,15 +180,9 @@ class BaseMac(ReceiverPort):
             # human-readable "frame" string stays for debugging and the
             # existing trace-based tests.
             trace.record(
-                self.sim.now, "send", self.name,
-                frame=frame.describe(),
-                kind=frame.kind.value,
-                src=frame.src,
-                dst=frame.dst,
-                esn=frame.esn,
-                size=frame.size_bytes,
-                data_bytes=frame.data_bytes,
-                retry=frame.retry,
+                self.sim.now, "send", self.name, SEND_SHAPE,
+                frame.data_bytes, frame.dst, frame.esn, frame.describe(),
+                frame.kind.value, frame.retry, frame.size_bytes, frame.src,
             )
         return self.medium.transmit(self, frame)
 

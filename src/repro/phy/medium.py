@@ -53,10 +53,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.sim.kernel import Simulator
+from repro.sim.trace import RecordShape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mac.frames import Frame
     from repro.phy.noise import PacketErrorModel
+
+
+#: Detail keys of a ``recv`` trace record, in the order its values are passed.
+RECV_SHAPE = RecordShape(("clean", "dst", "esn", "frame", "kind", "size", "src"))
 
 
 class ReceiverPort:
@@ -405,9 +410,8 @@ class Medium:
                 self.corrupt_deliveries += 1
             if record:
                 trace.record(
-                    now, "recv", port.name,
-                    frame=described, kind=kind, src=src, dst=dst, esn=esn, size=size,
-                    clean=clean,
+                    now, "recv", port.name, RECV_SHAPE,
+                    clean, dst, esn, described, kind, size, src,
                 )
             port.on_frame(frame, clean)
         # A powered-off radio does not observe its own transmit completion

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, cast
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Type, cast)
 
 
 class TraceRecord(NamedTuple):
@@ -23,7 +24,7 @@ class TraceRecord(NamedTuple):
     detail: Dict[str, Any]
 
     def matches(self, category: Optional[str] = None, station: Optional[str] = None) -> bool:
-        """Filter predicate used by :meth:`Trace.select`."""
+        """The filter :meth:`Trace.select` applies, for a built record."""
         if category is not None and self.category != category:
             return False
         if station is not None and self.station != station:
@@ -38,24 +39,76 @@ _new_record = cast(Callable[[Type[TraceRecord], Tuple[Any, ...]], TraceRecord], 
 #: Records rendered per ``hasher.update`` in :meth:`Trace.digest`.
 _DIGEST_CHUNK = 4096
 
-#: Per detail key shape: the whole-line format and the getter of the detail
-#: values in sorted-key order.
-_LineFormat = Tuple[str, Callable[[Dict[str, Any]], Tuple[Any, ...]]]
+#: A stored record: ``(time, category, station, *values, shape)``.
+_Row = Tuple[Any, ...]
+
+#: Every shape made so far, by key tuple (see :class:`RecordShape`).
+_SHAPES: Dict[Tuple[str, ...], "RecordShape"] = {}
 
 
-def _line_format(shape: Tuple[str, ...]) -> _LineFormat:
-    keys = sorted(shape)
-    fmt = "%r|%s|%s|" + ",".join(f"{key.replace('%', '%%')}=%r" for key in keys) + "\n"
-    if len(keys) > 1:
-        return fmt, itemgetter(*keys)
-    # A one-key itemgetter returns the bare value, which ``%`` would
-    # unpack if it were a tuple; no call site records fewer than two keys
-    # often enough for this slower getter to matter.
-    return fmt, lambda detail: tuple(detail[key] for key in keys)
+class RecordShape:
+    """The sorted detail keys of one kind of record, and its digest line.
+
+    ``RecordShape(keys)`` is interned: it returns the one instance for
+    that key tuple, so every row of a shape shares one object and work
+    done once per shape is looked up by identity.  Keys must be sorted
+    and unique; a positional :meth:`Trace.record` passes its values in
+    this order.  A shape pickles as its keys and loading re-interns it,
+    so a restored trace's rows share the live process's shapes.
+    """
+
+    __slots__ = ("keys", "line")
+
+    keys: Tuple[str, ...]
+    #: ``%`` format of a digest line after its ``repr(time)``, taking the
+    #: row's category, station and values.
+    line: str
+
+    def __new__(cls, keys: Iterable[str]) -> "RecordShape":
+        names = tuple(keys)
+        shape = _SHAPES.get(names)
+        if shape is None:
+            if list(names) != sorted(set(names)):
+                raise ValueError(f"record shape keys must be sorted and unique: {names!r}")
+            shape = super().__new__(cls)
+            shape.keys = names
+            shape.line = (
+                "|%s|%s|" + ",".join(f"{key.replace('%', '%%')}=%r" for key in names) + "\n"
+            )
+            _SHAPES[names] = shape
+        return shape
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (RecordShape, (self.keys,))
+
+    def __repr__(self) -> str:
+        return f"RecordShape({self.keys!r})"
+
+
+def _as_record(row: _Row) -> TraceRecord:
+    return _new_record(TraceRecord, (row[0], row[1], row[2], dict(zip(row[-1].keys, row[3:-1]))))
+
+
+def _field_getter(shape: RecordShape, keys: Sequence[str]) -> Callable[[_Row], _Row]:
+    """Reads ``(time, category, station, *values of keys)`` off a row of
+    ``shape``; a key the shape lacks reads the None a padded row ends with."""
+    index = {key: 3 + position for position, key in enumerate(shape.keys)}
+    past_end = len(shape.keys) + 4
+    get = itemgetter(0, 1, 2, *(index.get(key, past_end) for key in keys))
+    if all(key in index for key in keys):
+        return get
+    return lambda row: get((*row, None))
 
 
 class Trace:
     """Append-only record store with simple filtering.
+
+    Each record is one flat row, ``(time, category, station, *values,
+    shape)``: the detail values in the order of the interned
+    :class:`RecordShape`'s keys, then the shape, so no per-record dict is
+    kept.  Iteration and :meth:`select` rebuild :class:`TraceRecord`
+    objects after filtering; :meth:`fields` reads named values without
+    them.  Only this module knows the row layout.
 
     ``enabled=False`` turns :meth:`record` into a no-op so the hot path pays
     only one attribute check.
@@ -63,30 +116,75 @@ class Trace:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._records: List[TraceRecord] = []
+        self._rows: List[_Row] = []
 
-    def record(self, time: float, category: str, station: str, **detail: Any) -> None:
-        """Append a record (no-op when disabled)."""
+    def record(
+        self,
+        time: float,
+        category: str,
+        station: str,
+        shape: Optional[RecordShape] = None,
+        /,
+        *values: Any,
+        **detail: Any,
+    ) -> None:
+        """Append a record (no-op when disabled).
+
+        Two forms store the same row: ``record(time, category, station,
+        shape, *values)``, with the values in ``shape.keys`` order, builds
+        no dict and is what the model's call sites use;
+        ``record(time, category, station, **detail)`` takes the keys as
+        keywords.
+        """
         if self.enabled:
-            self._records.append(_new_record(TraceRecord, (time, category, station, detail)))
+            if shape is None:
+                shape = RecordShape(sorted(detail))
+                values = tuple(map(detail.__getitem__, shape.keys))
+            elif detail:
+                raise TypeError("record() takes a shape and its values, or keywords, not both")
+            self._rows.append((time, category, station, *values, shape))
 
     def select(
         self, category: Optional[str] = None, station: Optional[str] = None
     ) -> List[TraceRecord]:
         """Records matching the given filters, in time order."""
-        return [r for r in self._records if r.matches(category, station)]
+        return [
+            _as_record(row)
+            for row in self._rows
+            if (category is None or row[1] == category)
+            and (station is None or row[2] == station)
+        ]
+
+    def fields(self, wanted: Mapping[str, Sequence[str]]) -> Iterator[_Row]:
+        """Every record as ``(time, category, station, *values)``, in order.
+
+        ``values`` are the record's detail values for the keys ``wanted``
+        lists under its category, in that order, with None for a key the
+        record lacks (as ``detail.get`` returns); a category ``wanted``
+        does not list yields no values.  Unlike iteration this builds no
+        :class:`TraceRecord` and no detail dict.
+        """
+        getters: Dict[str, Dict[RecordShape, Callable[[_Row], _Row]]] = {}
+        for row in self._rows:
+            try:
+                get = getters[row[1]][row[-1]]
+            except KeyError:
+                get = getters.setdefault(row[1], {})[row[-1]] = _field_getter(
+                    row[-1], wanted.get(row[1], ())
+                )
+            yield get(row)
 
     def counts(self) -> Dict[Tuple[str, str], int]:
         """Histogram of records keyed by ``(category, station)``."""
         out: Dict[Tuple[str, str], int] = {}
-        for r in self._records:
-            key = (r.category, r.station)
+        for row in self._rows:
+            key = (row[1], row[2])
             out[key] = out.get(key, 0) + 1  # repro-lint: allow=REPRO107 (post-hoc histogram)
         return out
 
     def clear(self) -> None:
         """Discard all records (keeps the enabled flag)."""
-        self._records.clear()
+        self._rows.clear()
 
     def digest(self) -> str:
         """SHA-256 over a canonical rendering of every record.
@@ -98,29 +196,30 @@ class Trace:
         with the detail keys sorted, so insertion order cannot leak into
         the digest.  This method is the only definition of that format.
 
-        The format and value getter are built once per detail key shape
-        (call sites emit one shape each) and the lines are hashed in
-        chunks; SHA-256 of the concatenation does not depend on how it is
-        fed to the hasher.
+        The rest of a line after ``repr(time)`` comes from the row's shape
+        format.  ``repr(time)`` is reused while consecutive rows hold the
+        very same time object (every receiver of one transmission does):
+        identity, not equality, because ``0.0 == -0.0`` and ``1 == 1.0``
+        render differently.  Lines are hashed in chunks; SHA-256 of the
+        concatenation does not depend on how it is fed to the hasher.
         """
         hasher = hashlib.sha256()
-        formats: Dict[Tuple[str, ...], _LineFormat] = {}
-        records = self._records
-        for start in range(0, len(records), _DIGEST_CHUNK):
+        rows = self._rows
+        last: object = object()
+        stamp = ""
+        for start in range(0, len(rows), _DIGEST_CHUNK):
             lines: List[str] = []
             append = lines.append
-            for time, category, station, detail in records[start:start + _DIGEST_CHUNK]:
-                shape = tuple(detail)
-                try:
-                    fmt, values = formats[shape]
-                except KeyError:
-                    fmt, values = formats[shape] = _line_format(shape)
-                append(fmt % (time, category, station, *values(detail)))
+            for row in rows[start:start + _DIGEST_CHUNK]:
+                time = row[0]
+                if time is not last:
+                    last, stamp = time, repr(time)
+                append(stamp + row[-1].line % row[1:-1])
             hasher.update("".join(lines).encode("utf-8"))
         return hasher.hexdigest()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(_as_record, self._rows)

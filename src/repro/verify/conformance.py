@@ -41,11 +41,11 @@ and transmission overlap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.macaw import MacawMac
 from repro.mac.frames import MULTICAST
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 from repro.verify.statecharts import Statechart, statechart_for
 
 __all__ = [
@@ -60,6 +60,13 @@ __all__ = [
 
 #: Slack for float comparisons of transmission boundaries (seconds).
 _EPS = 1e-12
+
+#: Detail keys the checks read, per record category (see ``Trace.fields``).
+_FIELDS = {
+    "state": ("frm", "to"),
+    "send": ("kind", "dst", "esn", "size"),
+    "recv": ("clean", "kind", "src", "dst", "esn"),
+}
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,7 @@ class _DialogueState:
 
 
 def check_trace(
-    trace: Iterable[TraceRecord],
+    trace: Trace,
     profiles: Mapping[str, StationProfile],
     bitrate_bps: float = 256_000.0,
 ) -> ConformanceReport:
@@ -208,23 +215,24 @@ def check_trace(
             states[name] = entry
         return entry
 
-    for record in trace:
-        report.examined[record.category] = report.examined.get(record.category, 0) + 1  # repro-lint: allow=REPRO107 (sanitizer tally)
-        if record.time < last_time - _EPS:
+    for row in trace.fields(_FIELDS):
+        time, category, station = row[0], row[1], row[2]
+        report.examined[category] = report.examined.get(category, 0) + 1  # repro-lint: allow=REPRO107 (sanitizer tally)
+        if time < last_time - _EPS:
             report.violations.append(Violation(
-                "non-monotonic-clock", record.time, record.station,
-                f"clock moved backwards ({last_time:.9f} -> {record.time:.9f})",
+                "non-monotonic-clock", time, station,
+                f"clock moved backwards ({last_time:.9f} -> {time:.9f})",
             ))
-        last_time = max(last_time, record.time)
+        last_time = max(last_time, time)
 
-        profile = profiles.get(record.station)
-        if record.category == "state":
-            _check_state(record, profile, dialogue(record.station), report)
-        elif record.category == "send":
-            _check_send(record, profile, dialogue(record.station), report, bitrate_bps)
-        elif record.category == "recv":
-            _note_recv(record, profile, dialogue(record.station))
-        elif record.category == "power":
+        profile = profiles.get(station)
+        if category == "state":
+            _check_state(row, profile, dialogue(station), report)
+        elif category == "send":
+            _check_send(row, profile, dialogue(station), report, bitrate_bps)
+        elif category == "recv":
+            _note_recv(row, dialogue(station))
+        elif category == "power":
             # A power cycle (Figure 9, fault-injection churn) reboots the
             # radio into its statechart's initial state and forgets any
             # half-open dialogue; replay must do the same or the next
@@ -234,7 +242,7 @@ def check_trace(
                 if profile is not None and profile.statechart is not None
                 else "IDLE"
             )
-            entry = dialogue(record.station)
+            entry = dialogue(station)
             entry.state = initial
             entry.pending_rts.clear()
             entry.pending_ds.clear()
@@ -244,14 +252,19 @@ def check_trace(
     return report
 
 
+def _text(value: Any) -> str:
+    """A name field as the checks compare it: "" when the record lacks it."""
+    return "" if value is None else str(value)
+
+
 def _check_state(
-    record: TraceRecord,
+    row: Tuple[Any, ...],
     profile: Optional[StationProfile],
     entry: _DialogueState,
     report: ConformanceReport,
 ) -> None:
-    frm = str(record.detail.get("frm", ""))
-    to = str(record.detail.get("to", ""))
+    time, _, station, frm, to = row
+    frm, to = _text(frm), _text(to)
     if profile is None or profile.statechart is None:
         entry.state = to
         return
@@ -259,45 +272,42 @@ def _check_state(
     for state in (frm, to):
         if state not in chart:
             report.violations.append(Violation(
-                "unknown-state", record.time, record.station,
+                "unknown-state", time, station,
                 f"state {state!r} is not in the {chart.name} statechart",
             ))
     if frm != entry.state:
         report.violations.append(Violation(
-            "illegal-transition", record.time, record.station,
+            "illegal-transition", time, station,
             f"trace gap: transition claims {frm!r} but station was in"
             f" {entry.state!r}",
         ))
     elif not chart.allows(frm, to):
         report.violations.append(Violation(
-            "illegal-transition", record.time, record.station,
+            "illegal-transition", time, station,
             f"{frm} -> {to} is not a legal {chart.name} transition",
         ))
     entry.state = to
 
 
 def _check_send(
-    record: TraceRecord,
+    row: Tuple[Any, ...],
     profile: Optional[StationProfile],
     entry: _DialogueState,
     report: ConformanceReport,
     bitrate_bps: float,
 ) -> None:
-    detail = record.detail
-    kind = detail.get("kind")
-    dst = str(detail.get("dst", ""))
-    esn = detail.get("esn")
-    size = detail.get("size")
+    time, _, station, kind, dst, esn, size = row
+    dst = _text(dst)
 
     # Half-duplex: one station, one frame on the air at a time.
-    if record.time < entry.tx_end - _EPS:
+    if time < entry.tx_end - _EPS:
         report.violations.append(Violation(
-            "overlapping-transmission", record.time, record.station,
+            "overlapping-transmission", time, station,
             f"{kind} to {dst} starts before the previous transmission ends"
             f" at t={entry.tx_end:.9f}",
         ))
     if isinstance(size, (int, float)) and size > 0:
-        entry.tx_end = record.time + (float(size) * 8.0) / bitrate_bps
+        entry.tx_end = time + (float(size) * 8.0) / bitrate_bps
 
     if profile is None or profile.statechart is None or kind is None:
         return
@@ -305,7 +315,7 @@ def _check_send(
     if kind == "CTS":
         if dst not in entry.pending_rts:
             report.violations.append(Violation(
-                "cts-without-rts", record.time, record.station,
+                "cts-without-rts", time, station,
                 f"CTS to {dst} without an unanswered RTS from {dst}",
             ))
         else:
@@ -317,12 +327,12 @@ def _check_send(
             announced = entry.pending_ds.pop(dst, "missing")
             if announced == "missing":
                 report.violations.append(Violation(
-                    "data-without-ds", record.time, record.station,
+                    "data-without-ds", time, station,
                     f"DATA to {dst} without a preceding DS",
                 ))
             elif announced is not None and esn is not None and announced != esn:
                 report.violations.append(Violation(
-                    "data-without-ds", record.time, record.station,
+                    "data-without-ds", time, station,
                     f"DATA esn={esn} to {dst} but the DS announced"
                     f" esn={announced}",
                 ))
@@ -334,16 +344,17 @@ def _check_send(
                 and int(esn) < previous
             ):
                 report.violations.append(Violation(
-                    "esn-regression", record.time, record.station,
+                    "esn-regression", time, station,
                     f"DATA esn={esn} to {dst} after esn={previous}",
                 ))
             entry.max_data_esn[dst] = max(previous or 0, int(esn))
     elif kind == "ACK":
-        _check_ack(record, entry, dst, esn, report)
+        _check_ack(time, station, entry, dst, esn, report)
 
 
 def _check_ack(
-    record: TraceRecord,
+    time: float,
+    station: str,
     entry: _DialogueState,
     dst: str,
     esn: Any,
@@ -364,29 +375,23 @@ def _check_ack(
         return
     if esn in entry.received_esns.get(dst, set()):
         report.violations.append(Violation(
-            "ack-duplicate-esn", record.time, record.station,
+            "ack-duplicate-esn", time, station,
             f"re-ACK of esn={esn} to {dst} without a retransmitted RTS",
         ))
     else:
         report.violations.append(Violation(
-            "ack-unsolicited", record.time, record.station,
+            "ack-unsolicited", time, station,
             f"ACK esn={esn} to {dst} matches no DATA received from {dst}",
         ))
 
 
-def _note_recv(
-    record: TraceRecord,
-    profile: Optional[StationProfile],
-    entry: _DialogueState,
-) -> None:
-    detail = record.detail
-    if not detail.get("clean", False):
+def _note_recv(row: Tuple[Any, ...], entry: _DialogueState) -> None:
+    _, _, station, clean, kind, src, dst, esn = row
+    if not clean:
         return
-    if str(detail.get("dst", "")) != record.station:
+    if _text(dst) != station:
         return  # overheard or multicast: not part of this station's dialogue
-    kind = detail.get("kind")
-    src = str(detail.get("src", ""))
-    esn = detail.get("esn")
+    src = _text(src)
     if kind == "RTS":
         entry.pending_rts[src] = esn
         if esn is not None and int(esn) in entry.received_esns.get(src, set()):

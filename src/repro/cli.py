@@ -343,6 +343,7 @@ def _cmd_chaos(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.experiments.base import check_horizon
     from repro.fault.presets import preset_names
 
     if args.list:
@@ -352,6 +353,7 @@ def _cmd_chaos(argv: List[str]) -> int:
     try:
         metrics_interval = _parse_metrics_interval(args.metrics_interval)
         schedule = _load_schedule(args.faults, args.preset)
+        check_horizon(args.duration, args.warmup)
     except ValueError as exc:
         print(f"macaw-sim: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -51,6 +52,21 @@ class ExperimentResult:
             for name, ok in self.checks.items():
                 lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name}")
         return "\n".join(lines)
+
+
+def check_horizon(duration: float, warmup: float) -> None:
+    """Raise ValueError unless both are finite and the warm-up is >= 0.
+
+    A NaN or infinite duration never stops the clock, and a negative
+    warm-up stretches the window that every rate is divided by past the
+    simulated time, deflating the measurement without any sign.
+    """
+    for name, value in (("duration", duration), ("warmup", warmup)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number of seconds "
+                             f"(got {value!r})")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0 s (got {warmup:g} s)")
 
 
 class Experiment(ABC):
@@ -119,11 +135,12 @@ class Experiment(ABC):
     ) -> Tuple[float, float]:
         """``(duration, warmup)`` with defaults filled in, validated.
 
-        Raises ValueError when the measured window would be empty, before
-        any scenario is built.
+        Raises ValueError, before any scenario is built, when either value
+        fails :func:`check_horizon` or the measured window would be empty.
         """
         duration = duration if duration is not None else self.default_duration
         warmup = warmup if warmup is not None else self.default_warmup
+        check_horizon(duration, warmup)
         start = self.measurement_start(warmup)
         if start >= duration:
             raise ValueError(

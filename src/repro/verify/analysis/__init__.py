@@ -16,7 +16,6 @@ order-sensitive-iteration and callback-discipline checks.  See
 ``DESIGN.md`` §10 and ``macaw-sim analyze --list-rules``.
 """
 
-from repro.verify.analysis.baseline import Baseline, apply_baseline
 from repro.verify.analysis.engine import (
     AnalysisRun,
     FileResult,
@@ -36,7 +35,6 @@ from repro.verify.analysis.registry import (
 
 __all__ = [
     "AnalysisRun",
-    "Baseline",
     "FileResult",
     "Finding",
     "ProjectIndex",
@@ -44,7 +42,6 @@ __all__ = [
     "all_rules",
     "analyze_paths",
     "analyze_source",
-    "apply_baseline",
     "build_index",
     "collect_files",
     "fingerprint_findings",

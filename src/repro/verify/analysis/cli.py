@@ -1,10 +1,9 @@
 """Command-line driver: ``python -m repro.verify.analysis`` and
 ``macaw-sim analyze``.
 
-Exit codes: 0 clean (modulo baseline), 1 at least one non-baselined
-finding, 2 usage errors.  ``--update-baseline`` rewrites the committed
-inventory from the current run (adds new findings, prunes stale
-entries).
+Exit codes: 0 clean, 1 at least one finding, 2 usage errors.  The one
+way to accept a finding is an inline ``# repro-lint: allow=CODE`` pragma
+on its line.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.verify.analysis.baseline import Baseline, apply_baseline
 from repro.verify.analysis.engine import analyze_paths, collect_files
 from repro.verify.analysis.fixes import fix_paths
 from repro.verify.analysis.output import (
@@ -25,10 +23,7 @@ from repro.verify.analysis.output import (
 )
 from repro.verify.analysis.registry import all_rules, get_rules
 
-__all__ = ["main", "DEFAULT_BASELINE"]
-
-#: The committed whole-tree baseline (relative to the repo root).
-DEFAULT_BASELINE = Path("benchmarks/ANALYSIS_baseline.json")
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,27 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     parser.add_argument("--output", type=Path, default=None, metavar="FILE",
                         help="write the report to FILE instead of stdout")
-    parser.add_argument("--baseline", type=Path, default=None, metavar="FILE",
-                        help=f"baseline file (default: {DEFAULT_BASELINE}"
-                             " when it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run and exit 0")
     parser.add_argument("--fix", action="store_true",
                         help="apply mechanically-safe fixes (unused imports,"
                              " stale pragmas) and re-report")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
     return parser
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Path]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    return DEFAULT_BASELINE if DEFAULT_BASELINE.exists() else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -113,45 +93,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run = analyze_paths(args.paths, rules=rules)
 
     pairs = run.fingerprints
-    baseline_path = _resolve_baseline(args)
-
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        target.parent.mkdir(parents=True, exist_ok=True)
-        Baseline.from_findings(pairs).save(target)
-        print(f"baseline updated: {target} ({len(pairs)} finding(s))")
-        return 0
-
-    baseline = Baseline.load(baseline_path) if baseline_path else Baseline()
-    delta = apply_baseline(pairs, baseline)
-
     if args.fmt == "text":
-        report = render_text([f for f, _ in delta.new])
+        report = render_text([f for f, _ in pairs])
     elif args.fmt == "json":
-        report = render_json(delta.new, stale_baseline=delta.stale)
+        report = render_json(pairs)
     else:
-        report = render_sarif(delta.new, rules, baselined=delta.baselined)
+        report = render_sarif(pairs, rules)
 
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         args.output.write_text(report, encoding="utf-8")
+        if pairs:
+            print(f"note: {summary_line([f for f, _ in pairs])}",
+                  file=sys.stderr)
     else:
         sys.stdout.write(report)
 
-    notes: List[str] = []
-    if delta.baselined:
-        notes.append(f"{len(delta.baselined)} baselined finding(s) hidden")
-    if delta.stale:
-        notes.append(
-            f"{len(delta.stale)} stale baseline entr(y/ies) — run"
-            " --update-baseline to prune"
-        )
-    if args.output is not None and delta.new:
-        notes.append(summary_line([f for f, _ in delta.new]))
-    for note in notes:
-        print(f"note: {note}", file=sys.stderr)
-
-    return 1 if delta.new else 0
+    return 1 if pairs else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

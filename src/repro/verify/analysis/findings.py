@@ -1,15 +1,14 @@
 """Finding records and stable fingerprints.
 
 A :class:`Finding` is one diagnostic: ``path:line:col: CODE message``.
-The dataclass is shared by every rule plugin, the baseline machinery
-and the SARIF/JSON emitters, so it stays plain data that serializes
-byte-stably.
+The dataclass is shared by every rule plugin and the SARIF/JSON
+emitters, so it stays plain data that serializes byte-stably.
 
 Fingerprints identify a finding across unrelated edits: they hash the
 file path, the rule code, the *text* of the flagged line and the
 occurrence index among identical (path, code, text) triples — so adding
-a blank line above a baselined finding does not invalidate the baseline,
-while changing the flagged code does.
+a blank line above a finding keeps its fingerprint, and changing the
+flagged code changes it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def fingerprint_findings(
     ``source_lines`` are the lines of the file the findings came from
     (every finding in one call must share a file).  The fingerprint folds
     in an occurrence index so two identical findings on identical lines
-    (e.g. a copy-pasted violation) baseline independently.
+    (e.g. a copy-pasted violation) get distinct fingerprints.
     """
     seen: Dict[Tuple[str, str, str], int] = {}
     out: List[Tuple[Finding, str]] = []

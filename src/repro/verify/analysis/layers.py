@@ -110,10 +110,6 @@ HOOK_EXCEPTIONS: FrozenSet[Tuple[str, str]] = frozenset({
     # Warm-start hook: build() hands the finished scenario to the
     # snapshot subsystem when the profile carries a WarmStart.
     ("topo/builder.py", "snapshot"),
-    # Bench hook: the engine bench measures the sweep orchestrator's
-    # adaptive-vs-fixed savings, so its (lazy, measurement-only) import
-    # reaches one layer up.  Nothing else in runner touches service.
-    ("runner/bench.py", "service"),
 })
 
 #: Subtrees whose modules get their own import surface, overriding their

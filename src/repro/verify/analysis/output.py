@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.verify.analysis.findings import Finding
 from repro.verify.analysis.registry import Rule
@@ -42,16 +42,12 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    pairs: Sequence[Tuple[Finding, str]],
-    stale_baseline: Sequence[str] = (),
-) -> str:
+def render_json(pairs: Sequence[Tuple[Finding, str]]) -> str:
     blob: Dict[str, Any] = {
         "tool": TOOL_NAME,
         "findings": [
             dict(f.to_dict(), fingerprint=fp) for f, fp in pairs
         ],
-        "stale_baseline": list(stale_baseline),
     }
     return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
@@ -70,20 +66,14 @@ def _sarif_rules(rules: Sequence[Rule]) -> List[Dict[str, Any]]:
 def render_sarif(
     pairs: Sequence[Tuple[Finding, str]],
     rules: Sequence[Rule],
-    baselined: Optional[Sequence[Tuple[Finding, str]]] = None,
 ) -> str:
     """A single-run SARIF 2.1.0 log.
 
-    New findings carry ``baselineState: "new"`` and baselined ones
-    ``"unchanged"`` when a baseline split is provided; fingerprints ride
-    in ``partialFingerprints`` so scanners can track identity across
-    line moves.
+    Fingerprints ride in ``partialFingerprints`` so scanners can track
+    identity across line moves.
     """
-    results: List[Dict[str, Any]] = []
-
-    def _result(finding: Finding, fingerprint: str,
-                state: Optional[str]) -> Dict[str, Any]:
-        result: Dict[str, Any] = {
+    results: List[Dict[str, Any]] = [
+        {
             "ruleId": finding.code,
             "level": "error",
             "message": {"text": finding.message},
@@ -100,17 +90,8 @@ def render_sarif(
             ],
             "partialFingerprints": {"reproAnalysis/v1": fingerprint},
         }
-        if state is not None:
-            result["baselineState"] = state
-        return result
-
-    has_split = baselined is not None
-    for finding, fingerprint in pairs:
-        results.append(
-            _result(finding, fingerprint, "new" if has_split else None)
-        )
-    for finding, fingerprint in baselined or ():
-        results.append(_result(finding, fingerprint, "unchanged"))
+        for finding, fingerprint in pairs
+    ]
 
     log = {
         "$schema": SARIF_SCHEMA,

@@ -48,6 +48,19 @@ def test_run_validates_warmup():
         exp.run(duration=10.0, warmup=20.0)
 
 
+@pytest.mark.parametrize("duration, warmup, match", [
+    (60.0, -20.0, "warmup must be >= 0"),
+    (float("nan"), 10.0, "duration must be a finite"),
+    (float("inf"), 10.0, "duration must be a finite"),
+    (60.0, float("nan"), "warmup must be a finite"),
+], ids=["negative-warmup", "nan-duration", "inf-duration", "nan-warmup"])
+def test_horizon_rejects_non_finite_values_and_negative_warmup(
+    duration, warmup, match
+):
+    with pytest.raises(ValueError, match=match):
+        get_experiment("table9").horizon(duration, warmup)
+
+
 def test_result_render_and_passed():
     result = ExperimentResult(
         spec=get_experiment("table9").spec,

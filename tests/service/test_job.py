@@ -49,7 +49,7 @@ def test_spec_digest_stable_and_content_sensitive():
     assert _spec().digest() != _spec(
         policy=FixedSeeds(seeds=(0, 1, 2))
     ).digest()
-    assert _spec().digest() != _spec(
+    assert _spec(profile=RunProfile(queue="heap")).digest() != _spec(
         profile=RunProfile(queue="wheel")
     ).digest()
 

@@ -118,6 +118,9 @@ def test_table8_horizon_before_its_measurement_start_returns_2(capsys):
 def test_warmup_past_duration_returns_2(capsys):
     assert main(["table2", "--duration", "5", "--warmup", "10"]) == 2
     assert "t=10 s" in _usage_error_line(capsys)
+    # A negative warm-up would stretch the rate window past the run.
+    assert main(["table9", "--duration", "60", "--warmup", "-20"]) == 2
+    assert "warmup must be >= 0" in _usage_error_line(capsys)
 
 
 def test_sweep_horizon_before_measurement_start_returns_2(tmp_path, capsys):
@@ -252,6 +255,12 @@ def test_chaos_faults_and_preset_are_mutually_exclusive(capsys, tmp_path):
     spec.write_text('{"events": []}')
     assert main(["chaos", "noise-burst", "--faults", str(spec)]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_chaos_negative_warmup_returns_2(capsys):
+    assert main(["chaos", "noise-burst", "--duration", "5",
+                 "--warmup", "-1"]) == 2
+    assert "warmup must be >= 0" in _usage_error_line(capsys)
 
 
 def test_chaos_runs_a_degradation_report(capsys):

@@ -8,6 +8,8 @@ coverage.
 from pathlib import Path
 
 from repro.verify.analysis import analyze_paths, analyze_source, get_rules
+from repro.verify.analysis.layers import HOOK_EXCEPTIONS
+from repro.verify.analysis.rules import layering
 
 
 def codes(source, path="model.py", project=None):
@@ -102,6 +104,21 @@ def test_repro110_declared_hook_points_exempt():
     src = "from repro.obs.registry import MetricsRegistry\nx = MetricsRegistry\n"
     assert "REPRO110" not in codes(src, path="src/repro/topo/builder.py")
     assert "REPRO110" not in codes(src, path="src/repro/core/config.py")
+
+
+def test_repro110_every_hook_exception_is_still_needed(monkeypatch):
+    # Each declared hook point names a module that exists and imports the
+    # named package at runtime: without its pair, REPRO110 flags it.
+    src_root = Path(__file__).resolve().parents[3] / "src" / "repro"
+    for rel, package in sorted(HOOK_EXCEPTIONS):
+        module = src_root / rel
+        assert module.is_file(), f"{rel}: no such module under src/repro"
+        monkeypatch.setattr(layering, "HOOK_EXCEPTIONS",
+                            HOOK_EXCEPTIONS - {(rel, package)})
+        result = analyze_source(module.read_text(encoding="utf-8"),
+                                str(module), get_rules(["REPRO110"]))
+        assert any(f"must not import 'repro.{package}'" in f.message
+                   for f in result.findings), (rel, package)
 
 
 def test_repro110_type_checking_imports_exempt():

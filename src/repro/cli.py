@@ -71,6 +71,7 @@ much throughput and delay MACAW/MACA/CSMA retain under the schedule.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Dict, List, Optional
@@ -190,8 +191,6 @@ def _parse_warm_start(spec: str):
             raise ValueError(
                 f"--warm-start time must be a number, got {at_text!r}"
             ) from None
-    if at <= 0:
-        raise ValueError(f"--warm-start time must be > 0, got {at!r}")
     from repro.core.config import WarmStart
     from repro.snapshot import store_digest
 
@@ -260,8 +259,9 @@ def _resolve_experiments(selector: str) -> Optional[list]:
 
 def _cmd_verify_trace(argv: List[str]) -> int:
     """Run experiments under the conformance sanitizer; nonzero on violations."""
+    from repro.core.config import RunProfile
+    from repro.topo.builder import capturing
     from repro.verify.conformance import ConformanceError
-    from repro.verify.runtime import sanitized
 
     parser = argparse.ArgumentParser(
         prog="macaw-sim verify-trace",
@@ -285,18 +285,21 @@ def _cmd_verify_trace(argv: List[str]) -> int:
         return 2
 
     clean = True
+    profile = RunProfile(sanitize=True)
     for exp in experiments:
-        with sanitized(True) as stats:
+        with capturing() as runs:
             try:
-                exp.run(seed=args.seed, duration=args.duration, warmup=args.warmup)
+                exp.run(seed=args.seed, duration=args.duration,
+                        warmup=args.warmup, profile=profile)
             except ConformanceError as exc:
                 clean = False
                 print(f"{exp.spec.exp_id:24} CONFORMANCE VIOLATIONS")
                 print(exc.report.render())
                 continue
+        records = sum(run.examined or 0 for run in runs)
         print(
             f"{exp.spec.exp_id:24} OK "
-            f"({stats.records} trace records, {stats.runs} scenario runs)"
+            f"({records} trace records, {len(runs)} scenario runs)"
         )
     return 0 if clean else 1
 
@@ -451,8 +454,8 @@ def _cmd_snapshot(argv: List[str]) -> int:
     try:
         seeds = parse_seeds(args.seeds, args.seed, warn=_warn)
         schedule = _load_schedule(args.faults, args.chaos)
-        if args.at <= 0:
-            raise ValueError(f"--at must be > 0, got {args.at!r}")
+        if not (math.isfinite(args.at) and args.at > 0):
+            raise ValueError(f"--at must be a finite number > 0, got {args.at!r}")
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         if duration <= args.at:
@@ -671,6 +674,15 @@ def _cmd_sweep(argv: List[str]) -> int:
 
     if args.jobs < 1:
         print("macaw-sim: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    if args.retries is not None and args.retries < 0:
+        print(f"macaw-sim: --retries must be >= 0, got {args.retries}",
+              file=sys.stderr)
+        return 2
+    if args.backoff is not None and not (math.isfinite(args.backoff)
+                                         and args.backoff >= 0):
+        print(f"macaw-sim: --backoff must be a finite number of seconds "
+              f">= 0, got {args.backoff}", file=sys.stderr)
         return 2
 
     if args.resume is not None:

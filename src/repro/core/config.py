@@ -24,18 +24,19 @@ Two frozen dataclasses live here:
   and ``service.run_cells``, and :meth:`RunProfile.digest` is what the
   result cache folds into its keys instead of ad-hoc config tuples.
 
-The :func:`active_profile` context manager provides the ambient-profile
-hook (mirroring ``verify.runtime.sanitized`` and ``obs.runtime
-.collecting``): experiments build their scenarios deep inside driver
-code, so the profile cannot always be threaded through as a parameter —
-builders constructed without an explicit ``profile=`` pick up the
-innermost active one.
+The :func:`active_profile` context manager is the one ambient input:
+experiments build their scenarios deep inside driver code, so the
+profile cannot always be threaded through as a parameter — builders
+constructed without an explicit ``profile=`` pick up the innermost
+active one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Tuple
@@ -190,15 +191,14 @@ def _normalize_grid_kwargs(value: Any) -> Tuple[Tuple[str, Any], ...]:
     return tuple(sorted(out))
 
 
-def _normalize_metrics(value: Any) -> Any:
-    """Canonicalize a ``metrics`` knob to None / False / MetricsConfig.
+def _normalize_metrics(value: Any) -> Optional[MetricsConfig]:
+    """Canonicalize a ``metrics`` knob to None (off) or a MetricsConfig.
 
-    ``None`` defers to the ambient switch at build time, ``False`` forces
-    metrics off, a :class:`~repro.obs.runtime.MetricsConfig` turns them
-    on; ``True`` and bare numbers are sugar for a config.
+    ``False`` means off like ``None``; ``True`` and bare numbers are
+    sugar for a config.
     """
     if value is None or value is False:
-        return value
+        return None
     if value is True:
         return MetricsConfig()
     if isinstance(value, MetricsConfig):
@@ -231,8 +231,10 @@ class WarmStart:
     digest: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.at <= 0:
-            raise ValueError(f"warm-start time must be > 0, got {self.at!r}")
+        if not (math.isfinite(self.at) and self.at > 0):
+            raise ValueError(
+                f"warm-start time must be a finite number > 0, got {self.at!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -249,9 +251,11 @@ class RunProfile:
 
     Fields are normalized on construction so equal configurations compare
     (and hash) equal regardless of spelling: ``metrics=2`` becomes a
-    :class:`MetricsConfig`, ``grid_kwargs`` dicts become sorted item
-    tuples, and an *empty* fault schedule becomes ``None`` — which is
-    what makes an empty schedule digest-identical to no schedule at all.
+    :class:`MetricsConfig` and ``metrics=False`` becomes ``None``,
+    ``grid_kwargs`` dicts become sorted item tuples, an unset
+    ``sanitize`` or ``queue`` becomes the environment's concrete value,
+    and an *empty* fault schedule becomes ``None`` — which is what makes
+    an empty schedule digest-identical to no schedule at all.
     """
 
     #: Channel rate (§3: 256 kbps for PARC's radio).
@@ -266,11 +270,13 @@ class RunProfile:
     grid_kwargs: Any = None
     #: Record a full protocol trace.
     trace: bool = False
-    #: Run the conformance sanitizer after every run; None defers to
-    #: :func:`repro.verify.runtime.sanitize_enabled`.
+    #: Run the conformance sanitizer after every run (forces tracing);
+    #: None resolves through ``$REPRO_SANITIZE`` *at construction time*,
+    #: so the stored field is always a bool.
     sanitize: Optional[bool] = None
-    #: Live instrumentation: None (ambient), False (off), True / seconds /
-    #: :class:`~repro.obs.runtime.MetricsConfig` (on).
+    #: Live instrumentation: None or False (off), True / seconds /
+    #: :class:`~repro.obs.runtime.MetricsConfig` (on); stored as None or
+    #: a config.
     metrics: Any = None
     #: Fault schedule to inject (:mod:`repro.fault`); empty normalizes to
     #: None so a no-op schedule cannot perturb digests or cache keys.
@@ -288,8 +294,10 @@ class RunProfile:
     warm_start: Optional[WarmStart] = None
 
     def __post_init__(self) -> None:
-        if self.bitrate_bps <= 0:
-            raise ValueError(f"bitrate must be positive, got {self.bitrate_bps!r}")
+        if not (math.isfinite(self.bitrate_bps) and self.bitrate_bps > 0):
+            raise ValueError(
+                f"bitrate must be a finite number > 0, got {self.bitrate_bps!r}"
+            )
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError(
                 f"queue capacity must be >= 1 or None, got {self.queue_capacity!r}"
@@ -297,6 +305,11 @@ class RunProfile:
         object.__setattr__(self, "grid_kwargs", _normalize_grid_kwargs(self.grid_kwargs))
         object.__setattr__(self, "metrics", _normalize_metrics(self.metrics))
         object.__setattr__(self, "trace", bool(self.trace))
+        if self.sanitize is None:
+            env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
+            object.__setattr__(self, "sanitize", env in ("1", "true", "yes", "on"))
+        else:
+            object.__setattr__(self, "sanitize", bool(self.sanitize))
         from repro.sim.queues import resolve_backend
 
         object.__setattr__(self, "queue", resolve_backend(self.queue))
@@ -349,13 +362,10 @@ class RunProfile:
             }
         else:  # pragma: no cover - defensive for duck-typed timings
             timing_blob = repr(self.timing)
-        if self.metrics is None or self.metrics is False:
-            metrics_blob: Any = bool(self.metrics) if self.metrics is not None else None
-        else:
-            metrics_blob = {
-                "interval": self.metrics.interval,
-                "capacity": self.metrics.capacity,
-            }
+        metrics_blob = None if self.metrics is None else {
+            "interval": self.metrics.interval,
+            "capacity": self.metrics.capacity,
+        }
         blob = json.dumps(
             {
                 "bitrate_bps": self.bitrate_bps,

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import ComparisonTable
 from repro.core.config import RunProfile, active_profile
-from repro.verify.runtime import capturing_digests
+from repro.topo.builder import capturing
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,13 @@ class Experiment(ABC):
         if profile is None:
             profile = RunProfile.current()
         digest: Optional[str] = None
-        with active_profile(profile):
-            if collect_digest:
-                with capturing_digests() as digests:
-                    table = self._run(seed=seed, duration=duration, warmup=warmup)
-                hasher = hashlib.sha256()
-                for item in digests:
-                    hasher.update(item.encode("ascii"))
-                    hasher.update(b"\n")
-                digest = hasher.hexdigest()
-            else:
-                table = self._run(seed=seed, duration=duration, warmup=warmup)
+        with active_profile(profile), capturing(digests=collect_digest) as runs:
+            table = self._run(seed=seed, duration=duration, warmup=warmup)
+        if collect_digest:
+            hasher = hashlib.sha256()
+            for run in runs:
+                hasher.update(f"{run.digest}\n".encode("ascii"))
+            digest = hasher.hexdigest()
         checks = self._check(table)
         return ExperimentResult(
             spec=self.spec, table=table, checks=checks,

@@ -8,8 +8,8 @@ time-resolved telemetry without perturbing it:
   series, driven by the kernel's passive clock observer;
 * :mod:`repro.obs.probes` — the probe catalogue over MAC, channel and
   transport layers (``instrument_scenario``);
-* :mod:`repro.obs.runtime` — the ambient opt-in the ScenarioBuilder,
-  CLI (``--metrics``) and parallel runner use;
+* :mod:`repro.obs.runtime` — :class:`MetricsConfig`, what
+  ``RunProfile(metrics=...)`` normalizes to;
 * :mod:`repro.obs.export` / :mod:`repro.obs.aggregate` — JSONL/CSV
   output and cross-seed mean/min/max bands.
 
@@ -20,7 +20,7 @@ trace records and draws no randomness, so a seeded run produces the same
 
 Quick start::
 
-    from repro.obs import collecting
+    from repro.core.config import RunProfile
     from repro.topo.builder import ScenarioBuilder
 
     builder = ScenarioBuilder(seed=1, profile=RunProfile(metrics=0.5))
@@ -33,7 +33,7 @@ from repro.obs.aggregate import aggregate_files, bands
 from repro.obs.export import load_jsonl, write_csv, write_jsonl
 from repro.obs.probes import ScenarioMetrics, instrument_scenario
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.runtime import MetricsConfig, collecting, resolve_metrics
+from repro.obs.runtime import MetricsConfig
 from repro.obs.sampler import RingSeries, Sampler
 
 __all__ = [
@@ -47,10 +47,8 @@ __all__ = [
     "ScenarioMetrics",
     "aggregate_files",
     "bands",
-    "collecting",
     "instrument_scenario",
     "load_jsonl",
-    "resolve_metrics",
     "write_csv",
     "write_jsonl",
 ]

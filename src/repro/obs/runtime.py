@@ -1,35 +1,15 @@
-"""Process-wide opt-in for metrics collection, mirroring verify.runtime.
+"""How a scenario is instrumented when its profile turns metrics on.
 
-Experiments build their scenarios deep inside driver code, so the
-metrics switch cannot always be threaded through as a parameter.  This
-module provides the ambient hook that
-:class:`repro.topo.builder.ScenarioBuilder` consults when its own
-``metrics`` argument is left unset:
-
-* the :func:`collecting` context manager turns collection on for a block
-  and yields the list that every instrumented scenario's metrics dump is
-  appended to (the CLI and the parallel runner use this);
-* the ``REPRO_METRICS`` environment variable (``1``/``true``/``yes``/
-  ``on``) turns collection on from the outside, with
-  ``REPRO_METRICS_INTERVAL`` overriding the sampling cadence.
+:class:`MetricsConfig` is what ``RunProfile(metrics=...)`` normalizes
+to; the builder hands it to :func:`repro.obs.probes.instrument_scenario`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
 
-__all__ = [
-    "MetricsConfig",
-    "ambient_config",
-    "collecting",
-    "note_metrics",
-    "resolve_metrics",
-]
-
-_TRUTHY = ("1", "true", "yes", "on")
+__all__ = ["MetricsConfig"]
 
 
 @dataclass(frozen=True)
@@ -42,81 +22,8 @@ class MetricsConfig:
     capacity: int = 4096
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"metrics interval must be > 0, got {self.interval}")
+        if not (math.isfinite(self.interval) and self.interval > 0):
+            raise ValueError(f"metrics interval must be a finite number > 0, "
+                             f"got {self.interval}")
         if self.capacity < 1:
             raise ValueError(f"metrics capacity must be >= 1, got {self.capacity}")
-
-
-#: Config of the innermost active :func:`collecting` block, if any.
-_config: Optional[MetricsConfig] = None
-
-#: Dump sink of the innermost active :func:`collecting` block.
-_sink: Optional[List[dict]] = None
-
-
-def ambient_config() -> Optional[MetricsConfig]:
-    """Active config: the :func:`collecting` block's, else the environment's."""
-    if _config is not None:
-        return _config
-    if os.environ.get("REPRO_METRICS", "").strip().lower() in _TRUTHY:
-        interval = float(os.environ.get("REPRO_METRICS_INTERVAL", "1.0"))
-        return MetricsConfig(interval=interval)
-    return None
-
-
-MetricsArg = Union[None, bool, int, float, MetricsConfig]
-
-
-def resolve_metrics(explicit: MetricsArg) -> Optional[MetricsConfig]:
-    """Resolve a builder's ``metrics=`` argument to a config (or None = off).
-
-    ``None`` defers to the ambient switch; ``False`` forces off even
-    inside a :func:`collecting` block; ``True`` means defaults; a number
-    is a sampling interval in seconds; a :class:`MetricsConfig` is taken
-    as-is.
-    """
-    if explicit is None:
-        return ambient_config()
-    if explicit is False:
-        return None
-    if explicit is True:
-        return MetricsConfig()
-    if isinstance(explicit, MetricsConfig):
-        return explicit
-    if isinstance(explicit, (int, float)):
-        return MetricsConfig(interval=float(explicit))
-    raise TypeError(f"metrics= expects None/bool/seconds/MetricsConfig, "
-                    f"got {explicit!r}")
-
-
-def note_metrics(dump: dict) -> None:
-    """Record one scenario run's metrics dump (called by Scenario.run)."""
-    if _sink is not None:
-        _sink.append(dump)
-
-
-@contextmanager
-def collecting(config: Union[MetricsConfig, float, None] = None,
-               ) -> Iterator[List[dict]]:
-    """Enable metrics collection for a block; yields the dump sink.
-
-    Scenario runs inside the block that did not force ``metrics=False``
-    are instrumented, and each appends its end-of-run dump (a plain,
-    picklable dict — see ``ScenarioMetrics.dump``) to the yielded list
-    in run order.
-    """
-    global _config, _sink
-    if config is None:
-        resolved = MetricsConfig()
-    elif isinstance(config, MetricsConfig):
-        resolved = config
-    else:
-        resolved = MetricsConfig(interval=float(config))
-    previous, previous_sink = _config, _sink
-    _config = resolved
-    _sink = sink = []
-    try:
-        yield sink
-    finally:
-        _config, _sink = previous, previous_sink

@@ -50,7 +50,6 @@ from repro.service.scheduler import (
     CellFailure,
     CellScheduler,
     WorkerDeath,
-    pin_profile,
     run_cells,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "ci_half_width",
     "digest_set_hash",
     "find_job",
-    "pin_profile",
     "policy_from_dict",
     "profile_from_dict",
     "profile_to_dict",

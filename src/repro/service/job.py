@@ -59,13 +59,10 @@ def profile_to_dict(profile: RunProfile) -> Dict[str, Any]:
             f.name: getattr(profile.timing, f.name)
             for f in fields(profile.timing) if f.init
         }
-    if profile.metrics is None or profile.metrics is False:
-        metrics: Any = profile.metrics
-    else:
-        metrics = {
-            "interval": profile.metrics.interval,
-            "capacity": profile.metrics.capacity,
-        }
+    metrics = None if profile.metrics is None else {
+        "interval": profile.metrics.interval,
+        "capacity": profile.metrics.capacity,
+    }
     return {
         "bitrate_bps": profile.bitrate_bps,
         "queue_capacity": profile.queue_capacity,

@@ -2,10 +2,9 @@
 
 One call to :func:`run_job` drives a whole campaign:
 
-1. **Normalize & pin.**  The spec's profile goes through the same
-   :func:`~repro.service.scheduler.pin_profile` as ``run_cells``
-   (ambient sanitize/metrics resolved in the parent), so a job produces
-   byte-identical results at any ``jobs``.
+1. **Identify.**  The spec's profile carries every run knob and ships
+   to every worker unchanged, so a job produces byte-identical results
+   at any ``jobs``; its digest keys the job and its cache entries.
 2. **Replay.**  An existing journal for the job is loaded and chain-
    verified; completed cells are *replayed* — their digests and metric
    values come from the journal, their full results from the
@@ -47,7 +46,6 @@ from repro.service.scheduler import (
     DEFAULT_BACKOFF_S,
     DEFAULT_RETRIES,
     CellScheduler,
-    pin_profile,
 )
 
 __all__ = ["run_job", "resume_job"]
@@ -138,12 +136,17 @@ def run_job(
     Returns the completed (or interrupted) :class:`Job` with outcomes in
     deterministic order: spec experiment order, allocation order within.
     """
+    # Built first: it validates jobs/retries/backoff, and a job that
+    # could never run must not get a directory.
+    scheduler = CellScheduler(
+        profile=spec.profile, collect_digests=spec.collect_digests, jobs=jobs,
+        retries=retries, backoff_s=backoff_s,
+    )
     job = Job(spec=spec, directory=Path(job_dir) / spec.job_id)
     job.write_spec()
     if cache is None:
         cache = ResultCache()
-    pinned = pin_profile(spec.profile)
-    config = profile_hash(pinned, spec.collect_digests)
+    config = profile_hash(spec.profile, spec.collect_digests)
     journal = job.journal()
     progress = _Progress(job.progress_path, on_event)
 
@@ -178,10 +181,6 @@ def run_job(
         exp_id: _ConfigState(exp_id, spec.policy.initial_seeds())
         for exp_id in spec.experiments
     }
-    scheduler = CellScheduler(
-        profile=pinned, collect_digests=spec.collect_digests, jobs=jobs,
-        retries=retries, backoff_s=backoff_s,
-    )
 
     interrupted = {"flag": False}
 

@@ -179,8 +179,10 @@ class AdaptiveSeeds(SeedPolicy):
     kind = "adaptive"
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(
+                f"epsilon must be a finite number > 0, got {self.epsilon!r}"
+            )
         if not 2 <= self.min_seeds <= self.max_seeds:
             raise ValueError(
                 f"need 2 <= min_seeds <= max_seeds, got "

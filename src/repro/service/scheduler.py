@@ -23,6 +23,7 @@ in-cell exception propagates unchanged.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -32,11 +33,9 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunProfile
-from repro.obs.runtime import resolve_metrics
 from repro.runner.cache import ResultCache, profile_hash
 from repro.runner.cells import Cell, CellResult
 from repro.runner.parallel import execute_cell
-from repro.verify.runtime import sanitize_enabled
 
 __all__ = [
     "ATTEMPT_ENV",
@@ -46,7 +45,6 @@ __all__ = [
     "CellScheduler",
     "Reaped",
     "WorkerDeath",
-    "pin_profile",
     "run_cells",
     "worker_context",
 ]
@@ -67,20 +65,6 @@ def worker_context() -> multiprocessing.context.BaseContext:
     """Fork where available (cheap, inherits the imported tree), else spawn."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def pin_profile(profile: RunProfile) -> RunProfile:
-    """``profile`` with the ambient sanitize/metrics switches made concrete.
-
-    Workers must not re-consult environment blocks (``with sanitized():``,
-    ``collecting(...)``) they never entered, so every profile a scheduler
-    ships is pinned in the parent first; a worker then runs exactly what
-    an inline run would.
-    """
-    return profile.but(
-        sanitize=sanitize_enabled(profile.sanitize),
-        metrics=resolve_metrics(profile.metrics) or False,
-    )
 
 
 class WorkerDeath(RuntimeError):
@@ -148,8 +132,8 @@ class Reaped:
 class CellScheduler:
     """Dispatch cells to (at most ``jobs``) workers; reap as they finish.
 
-    ``profile`` ships to every worker as is, so pass it through
-    :func:`pin_profile` first.
+    ``profile`` ships to every worker as is: it carries every run knob,
+    so a worker runs exactly what an inline run would.
     """
 
     profile: RunProfile
@@ -167,6 +151,10 @@ class CellScheduler:
             raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries!r}")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            # A NaN retry slot is never due: the cell would never run again.
+            raise ValueError(f"backoff must be a finite number of seconds "
+                             f">= 0, got {self.backoff_s!r}")
         self._ctx = worker_context() if self.jobs > 1 else None
 
     # ------------------------------------------------------------- submit
@@ -337,7 +325,7 @@ def run_cells(
         and raising :class:`CellFailure` for an exception inside a cell.
     cache:
         Optional :class:`ResultCache`; hits skip the run entirely, misses
-        are stored as they complete.  The cache key folds in the pinned
+        are stored as they complete.  The cache key folds in the
         profile digest, digest collection and the source-tree content
         hash.
     collect_digests:
@@ -347,13 +335,13 @@ def run_cells(
         The :class:`~repro.core.config.RunProfile` every cell runs under
         (sanitizer, metrics, faults, timing, warm start, …).  None adopts
         the ambient profile (:func:`~repro.core.config.active_profile`)
-        or defaults.  It is pinned (:func:`pin_profile`) in the parent,
-        so serial and parallel execution see identical configuration.
+        or defaults.
     """
-    pinned = pin_profile(profile if profile is not None else RunProfile.current())
-    scheduler = CellScheduler(profile=pinned, collect_digests=collect_digests,
+    if profile is None:
+        profile = RunProfile.current()
+    scheduler = CellScheduler(profile=profile, collect_digests=collect_digests,
                               jobs=jobs)
-    config = profile_hash(pinned, collect_digests)
+    config = profile_hash(profile, collect_digests)
 
     results: List[Optional[CellResult]] = []
     for index, cell in enumerate(cell.resolved() for cell in cells):

@@ -27,8 +27,10 @@ from repro.snapshot.snapshot import Snapshot
 __all__ = ["fork", "FORKABLE_KNOBS"]
 
 #: Profile fields a fork may swap at the branch point.  Everything else
-#: changes the physics the captured state was produced under.
-FORKABLE_KNOBS = frozenset({"queue", "trace", "sanitize", "metrics"})
+#: changes the physics the captured state was produced under — or, for
+#: ``metrics``, the sampler state the snapshot carries (its tick count
+#: is only meaningful at the captured interval).
+FORKABLE_KNOBS = frozenset({"queue", "trace", "sanitize"})
 
 #: Domain-separation constant so fork re-seeds can never collide with
 #: RandomStreams' own (seed, crc32(name)) derivation.
@@ -71,6 +73,11 @@ def fork(snapshot: Snapshot, builder: Any, *, salt: int = 0,
     scenario = clone.build()
     fresh_trace_enabled = scenario.sim.trace.enabled
     snapshot.restore(scenario, clone)
+    if scenario.sanitize and not scenario.sim.trace.enabled:
+        # The sanitizer replays the trace from t=0; one that starts at
+        # the branch point opens mid-exchange and reads as trace gaps.
+        raise SnapshotError("fork cannot sanitize a branch of an untraced "
+                            "snapshot; capture it with trace=True")
     # The fork's trace knob wins over the captured flag: enabling tracing
     # at the branch point yields a trace that starts at the fork (the
     # warm-up was captured untraced and cannot be invented after the

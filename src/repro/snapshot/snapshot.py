@@ -38,7 +38,7 @@ from repro.snapshot.state import (capture_state, restore_state,
 
 __all__ = ["Snapshot", "FORMAT_VERSION", "MAGIC"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAGIC = b"MACAWSNP"
 
 

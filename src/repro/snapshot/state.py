@@ -33,6 +33,7 @@ run does.
 mac-level observer callbacks (``probe``, ``on_deliver``, ``on_drop``,
 ``on_sent``), recorder/injector notification hooks, the kernel's
 observer, medium audibility caches (pure functions of restored links),
+the scenario's ``sanitize`` run knob (the target's profile decides it),
 and the metrics sampler's ring buffers (only its position round-trips —
 a warm-started run's time series begins at the branch point).
 """
@@ -60,8 +61,9 @@ Policy = Tuple[str, Tuple[str, ...]]
 
 _MAC_EXCLUDE = ("probe", "on_deliver", "on_drop", "on_sent")
 _MEDIUM_EXCLUDE = ("_audible_cache", "_audible_from", "_power_cache")
-_SCENARIO_EXCLUDE = ("metrics", "conformance", "warm_start_info",
-                     "report_digest")
+#: ``sanitize`` is a run knob of the restore target's profile, not
+#: simulated state: a restore must not write the captured run's over it.
+_SCENARIO_EXCLUDE = ("metrics", "conformance", "warm_start_info", "sanitize")
 
 
 def scenario_policies(scenario: Any,

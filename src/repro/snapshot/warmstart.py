@@ -60,13 +60,14 @@ def warm_key(builder: Any, at: float, traced: bool = False) -> str:
     """Deterministic store key for (builder spec, physics profile, T).
 
     ``traced`` is the *effective* trace enablement of the build (the
-    profile knob, the sanitizer and ambient digest collection all force
-    it): a traced warm-up carries the t<T records a digest or sanitizer
-    replay needs, an untraced one does not, so the two must never share
-    a snapshot.  The raw ``trace`` profile knob is stripped from the
-    key's profile digest for the same reason — only the effective flag
-    matters, so a store pre-warmed with ``trace=True`` serves sweeps
-    whose tracing comes from ``--digest`` or ``REPRO_SANITIZE``.
+    profile's ``trace`` and ``sanitize`` knobs and an open digest or
+    trace capture all force it): a traced warm-up carries the t<T
+    records a digest or sanitizer replay needs, an untraced one does
+    not, so the two must never share a snapshot.  The raw ``trace`` and
+    ``sanitize`` knobs are stripped from the key's profile digest for
+    the same reason — only the effective flag matters, so a store
+    pre-warmed with ``trace=True`` serves sweeps whose tracing comes
+    from ``--digest`` or ``REPRO_SANITIZE``.
     """
     from repro.runner.cache import code_version  # lazy: avoid layer cycle
 
@@ -74,8 +75,8 @@ def warm_key(builder: Any, at: float, traced: bool = False) -> str:
             if key != "profile"}
     blob = json.dumps({
         "builder": _canon(spec),
-        "profile": builder.profile.but(warm_start=None,
-                                       trace=False).digest(),
+        "profile": builder.profile.but(warm_start=None, trace=False,
+                                       sanitize=False).digest(),
         "traced": bool(traced),
         "at": float(at),
         "code": code_version(),

@@ -4,12 +4,13 @@
 * :mod:`repro.topo.builder` — declarative scenario construction: pick a
   medium, place stations, wire links or cells, attach streams, schedule
   mid-run events (power-off, mobility), then :meth:`build` and
-  :meth:`~repro.topo.builder.Scenario.run`.
+  :meth:`~repro.topo.builder.Scenario.run`; :func:`capturing` collects
+  each run's digest, records, metrics dump and sanitizer counts.
 * :mod:`repro.topo.figures` — one constructor per paper figure (1–11),
   so every experiment names its configuration the way the paper does.
 """
 
 from repro.topo.station import Station
-from repro.topo.builder import Scenario, ScenarioBuilder
+from repro.topo.builder import Scenario, ScenarioBuilder, ScenarioRun, capturing
 
-__all__ = ["Station", "Scenario", "ScenarioBuilder"]
+__all__ = ["Station", "Scenario", "ScenarioBuilder", "ScenarioRun", "capturing"]

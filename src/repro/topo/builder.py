@@ -20,8 +20,11 @@ Example (the paper's Figure 2)::
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple,
+)
 
 from repro.core.config import (
     MACA_CONFIG,
@@ -41,21 +44,12 @@ from repro.phy.grid_medium import GridMedium
 from repro.phy.medium import Medium
 from repro.phy.noise import PacketErrorModel
 from repro.sim.kernel import Simulator
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceRecord
 from repro.topo.station import Station
 from repro.verify.conformance import (
     ConformanceError,
     ConformanceReport,
     check_scenario,
-)
-from repro.obs.runtime import note_metrics, resolve_metrics
-from repro.verify.runtime import (
-    digests_enabled,
-    note_digest,
-    note_report,
-    note_trace,
-    sanitize_enabled,
-    traces_enabled,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,6 +59,75 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default warm-up excluded from throughput measurements (§3: "a warmup
 #: period of 50 seconds").
 DEFAULT_WARMUP_S = 50.0
+
+
+@dataclass
+class ScenarioRun:
+    """What one :meth:`Scenario.run` hands to the open capture blocks.
+
+    ``digest``, ``records`` and ``metrics`` are filled only when some
+    open :func:`capturing` block asked for them (``metrics`` also needs
+    an instrumented scenario); ``examined`` and ``violations`` whenever
+    the sanitizer ran.
+    """
+
+    digest: Optional[str] = None
+    #: Full trace record list — the differential bisector's event view.
+    records: Optional[List[TraceRecord]] = None
+    #: End-of-run metrics dump (``ScenarioMetrics.dump``).
+    metrics: Optional[dict] = None
+    #: Trace records the sanitizer examined, and the violations it found.
+    examined: Optional[int] = None
+    violations: Optional[int] = None
+
+
+@dataclass(eq=False)
+class _Capture:
+    digests: bool
+    traces: bool
+    metrics: bool
+    runs: List[ScenarioRun]
+
+
+#: Every open :func:`capturing` block, outermost first.
+_captures: List[_Capture] = []
+
+
+@contextmanager
+def capturing(digests: bool = False, traces: bool = False,
+              metrics: bool = False) -> Iterator[List[ScenarioRun]]:
+    """Collect one :class:`ScenarioRun` per :meth:`Scenario.run` in a block.
+
+    Experiments build and run their scenarios deep inside driver code,
+    so this is how a caller gets per-scenario outputs out of a run.
+    Blocks nest and every open block sees every run, in run order.  A
+    block asking for ``digests`` or ``traces`` forces tracing on for
+    scenarios built inside it; use ``traces`` only for diagnosis — a
+    long run's records dwarf its digest.
+    """
+    capture = _Capture(digests, traces, metrics, [])
+    _captures.append(capture)
+    try:
+        yield capture.runs
+    finally:
+        _captures.remove(capture)
+
+
+def _capture_run(scenario: "Scenario",
+                 report: Optional[ConformanceReport]) -> None:
+    """Hand one finished run to every open :func:`capturing` block."""
+    run = ScenarioRun()
+    if any(c.digests for c in _captures):
+        run.digest = scenario.sim.trace.digest()
+    if any(c.traces for c in _captures):
+        run.records = list(scenario.sim.trace)
+    if scenario.metrics is not None and any(c.metrics for c in _captures):
+        run.metrics = scenario.metrics.dump()
+    if report is not None:
+        run.examined = sum(report.examined.values())
+        run.violations = len(report.violations)
+    for capture in _captures:
+        capture.runs.append(run)
 
 
 class Scenario:
@@ -86,14 +149,6 @@ class Scenario:
         #: When True, every :meth:`run` replays the trace through the
         #: conformance sanitizer and raises on protocol violations.
         self.sanitize = sanitize
-        #: When True (set by the builder while a
-        #: :func:`repro.verify.runtime.capturing_digests` block is active),
-        #: every :meth:`run` reports the trace digest to the capture sink.
-        self.report_digest = False
-        #: Like :attr:`report_digest`, but for the full record list
-        #: (:func:`repro.verify.runtime.capturing_traces`) — the
-        #: differential bisector's event-level view.
-        self.report_trace = False
         #: Report from the most recent :meth:`verify` / sanitized run.
         self.conformance: Optional[ConformanceReport] = None
         #: Live metrics handle (:class:`repro.obs.probes.ScenarioMetrics`);
@@ -118,21 +173,16 @@ class Scenario:
 
         In sanitized mode the recorded trace is then replayed through the
         protocol conformance checker; any violation raises
-        :class:`~repro.verify.conformance.ConformanceError`.
+        :class:`~repro.verify.conformance.ConformanceError` (after the
+        open :func:`capturing` blocks have seen the run).
         """
         self.sim.run(until=duration)
         self.duration = duration
-        if self.report_digest:
-            note_digest(self.sim.trace.digest())
-        if self.report_trace:
-            note_trace(list(self.sim.trace))
-        if self.metrics is not None:
-            note_metrics(self.metrics.dump())
-        if self.sanitize:
-            report = self.verify()
-            note_report(sum(report.examined.values()), len(report.violations))
-            if not report.ok:
-                raise ConformanceError(report)
+        report = self.verify() if self.sanitize else None
+        if _captures:
+            _capture_run(self, report)
+        if report is not None and not report.ok:
+            raise ConformanceError(report)
         return self
 
     def verify(self) -> ConformanceReport:
@@ -368,15 +418,11 @@ class ScenarioBuilder:
     def build(self) -> Scenario:
         """Materialize the scenario (idempotent: each call builds afresh)."""
         profile = self.profile
-        sanitize = sanitize_enabled(profile.sanitize)
-        report_digest = digests_enabled()
-        report_trace = traces_enabled()
+        sanitize = bool(profile.sanitize)  # already resolved by the profile
+        traced = profile.trace or sanitize or any(
+            c.digests or c.traces for c in _captures)
         sim = Simulator(
-            seed=self.seed,
-            trace=Trace(
-                enabled=profile.trace or sanitize or report_digest or report_trace
-            ),
-            queue=profile.queue,
+            seed=self.seed, trace=Trace(enabled=traced), queue=profile.queue,
         )
         if self.medium_kind == "graph":
             medium: Medium = GraphMedium(sim, bitrate_bps=profile.bitrate_bps)
@@ -386,8 +432,6 @@ class ScenarioBuilder:
             )
         recorder = FlowRecorder()
         scenario = Scenario(sim, medium, recorder, sanitize=sanitize)
-        scenario.report_digest = report_digest
-        scenario.report_trace = report_trace
         timing = profile.timing if profile.timing is not None else MacTiming(
             bitrate_bps=profile.bitrate_bps
         )
@@ -456,11 +500,10 @@ class ScenarioBuilder:
         # sampler attaches as the kernel's passive observer and the probes
         # only read model state, so an instrumented run fires the same
         # events and produces the same trace digest as a bare one.
-        metrics_config = resolve_metrics(profile.metrics)
-        if metrics_config is not None:
+        if profile.metrics is not None:
             from repro.obs.probes import instrument_scenario
 
-            scenario.metrics = instrument_scenario(scenario, metrics_config)
+            scenario.metrics = instrument_scenario(scenario, profile.metrics)
 
         # Warm-start is the very last build step: with every component
         # wired (including instrumentation), the scenario either fast-

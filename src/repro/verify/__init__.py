@@ -16,9 +16,9 @@ Two independent layers keep the reproduction honest:
   immutability, order-stable iteration and kernel-callback discipline.
   Run it with ``macaw-sim analyze src/repro``; see DESIGN.md §10.
 
-Sanitized runs are opted into per scenario (``ScenarioBuilder(
-profile=RunProfile(sanitize=True))``), globally (:func:`repro.verify.runtime.force_sanitize` or the
-``REPRO_SANITIZE`` environment variable), or from the command line
+Sanitized runs are opted into through the run profile
+(``RunProfile(sanitize=True)``, whose unset default follows the
+``REPRO_SANITIZE`` environment variable) or from the command line
 (``macaw-sim verify-trace <experiment>``).
 """
 
@@ -30,12 +30,6 @@ from repro.verify.conformance import (
     check_scenario,
     check_trace,
     profile_for_mac,
-)
-from repro.verify.runtime import (
-    SanitizeStats,
-    force_sanitize,
-    sanitize_enabled,
-    sanitized,
 )
 from repro.verify.statecharts import (
     MACA_STATECHART,
@@ -52,10 +46,6 @@ __all__ = [
     "check_scenario",
     "check_trace",
     "profile_for_mac",
-    "SanitizeStats",
-    "force_sanitize",
-    "sanitize_enabled",
-    "sanitized",
     "MACA_STATECHART",
     "MACAW_STATECHART",
     "Statechart",

@@ -65,18 +65,14 @@ LAYER_ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "core": frozenset(_STACK_BELOW_NET),
     "net": frozenset(_STACK_BELOW_TOPO),
     "topo": frozenset(_STACK_ALL),
-    "experiments": frozenset(
-        _STACK_ALL | {"experiments", "analysis", "verify"}
-    ),
+    "experiments": frozenset(_STACK_ALL | {"experiments", "analysis"}),
     # Result analysis (tables/metrics) reads the stack's outputs.
     "analysis": frozenset(_STACK_ALL | {"analysis"}),
     # Service layers: each declares exactly the hook surface it needs.
     "obs": frozenset({"sim", "mac", "obs"}),
     "verify": frozenset({"sim", "mac", "core", "verify"}),
     "fault": frozenset({"sim", "phy", "core", "fault"}),
-    "runner": frozenset(
-        _STACK_ALL | {"experiments", "obs", "verify", "runner", ""}
-    ),
+    "runner": frozenset(_STACK_ALL | {"experiments", "runner", ""}),
     # Checkpoint/restore spans the whole stack by design: it captures
     # every layer's state and keys warm-start stores off the runner's
     # code-version hash.  It sits *above* runner (runner never imports
@@ -87,11 +83,10 @@ LAYER_ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     ),
     # The service layer owns the worker model (CellScheduler, run_cells)
     # and the sweep jobs built on it: it sits above runner (journal +
-    # scheduler + seed policy) and pins ambient obs/verify switches into
-    # the profile before cells ship to workers.
+    # scheduler + seed policy) and round-trips whole run profiles (metrics
+    # configs, fault schedules) through job specs on disk.
     "service": frozenset(
-        _STACK_ALL | {"experiments", "obs", "verify", "fault",
-                      "runner", "service"}
+        _STACK_ALL | {"experiments", "obs", "fault", "runner", "service"}
     ),
     # The CLI and the top-level package tie everything together.
     "cli": frozenset(KNOWN_PACKAGES | {"", "cli"}),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.trace import TraceRecord
+from repro.topo.builder import ScenarioRun
 
 __all__ = [
     "BisectError",
@@ -40,15 +41,6 @@ HORIZON_TOL_S = 1e-6
 
 class BisectError(RuntimeError):
     """A replay failed mid-bisection (driver crash at a short horizon)."""
-
-
-@dataclass
-class ScenarioRun:
-    """One scenario's outcome inside a replay."""
-
-    digest: str
-    #: Full record list; None on digest-only replays.
-    records: Optional[List[TraceRecord]] = None
 
 
 #: A replay callback: ``replay(horizon, traced)`` re-executes one
@@ -183,7 +175,7 @@ def locate_first_divergence(
         time=time,
         record_a=record_to_dict(rec_a) if rec_a is not None else None,
         record_b=record_to_dict(rec_b) if rec_b is not None else None,
-        digest_a=traced_a[scenario_index].digest if scenario_index < len(traced_a) else "",
-        digest_b=traced_b[scenario_index].digest if scenario_index < len(traced_b) else "",
+        digest_a=(traced_a[scenario_index].digest or "") if scenario_index < len(traced_a) else "",
+        digest_b=(traced_b[scenario_index].digest or "") if scenario_index < len(traced_b) else "",
         probes=probes,
     )

@@ -30,9 +30,9 @@ from repro.runner.cells import Cell, expand_cells
 from repro.service.job import profile_from_dict, profile_to_dict
 from repro.service.scheduler import run_cells, worker_context
 from repro.snapshot import Snapshot
-from repro.verify.diff.bisect import Replay, ScenarioRun
+from repro.topo.builder import ScenarioRun, capturing
+from repro.verify.diff.bisect import Replay
 from repro.verify.diff.modes import ExecMode, default_matrix
-from repro.verify.runtime import capturing_digests, capturing_traces
 
 __all__ = [
     "CellDivergence",
@@ -185,22 +185,10 @@ def _run_experiment(exp_id: str, seed: int, horizon: float,
     never the event stream, and bisection horizons routinely shrink
     below any configured warm-up.
     """
-    exp = get_experiment(exp_id)
-    with capturing_digests() as digests:
-        if traced:
-            with capturing_traces() as traces:
-                exp.run(seed=seed, duration=horizon, warmup=0.0,
-                        profile=profile)
-        else:
-            traces = []
-            exp.run(seed=seed, duration=horizon, warmup=0.0, profile=profile)
-    return [
-        ScenarioRun(
-            digest=digest,
-            records=traces[index] if traced and index < len(traces) else None,
-        )
-        for index, digest in enumerate(digests)
-    ]
+    with capturing(digests=True, traces=traced) as runs:
+        get_experiment(exp_id).run(seed=seed, duration=horizon, warmup=0.0,
+                                   profile=profile)
+    return runs
 
 
 class ScenarioOracle:

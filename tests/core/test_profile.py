@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import RunProfile, active_profile, ambient_profile
+from repro.core.config import RunProfile, WarmStart, active_profile, ambient_profile
 from repro.fault import FaultSchedule, LinkFlap
 from repro.obs.runtime import MetricsConfig
 from repro.runner import Cell
@@ -11,12 +11,13 @@ from repro.topo.builder import ScenarioBuilder
 
 
 # ---------------------------------------------------------- normalization
-def test_defaults_match_the_paper():
+def test_defaults_match_the_paper(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     profile = RunProfile()
     assert profile.bitrate_bps == 256_000.0
     assert profile.queue_capacity == 64
     assert profile.timing is None and profile.trace is False
-    assert profile.sanitize is None and profile.metrics is None
+    assert profile.sanitize is False and profile.metrics is None
     assert profile.faults is None
 
 
@@ -34,8 +35,23 @@ def test_validation_rejects_bad_knobs():
 def test_metrics_sugar_normalizes_to_config():
     assert RunProfile(metrics=True).metrics == MetricsConfig()
     assert RunProfile(metrics=2).metrics == MetricsConfig(interval=2.0)
-    assert RunProfile(metrics=False).metrics is False
+    assert RunProfile(metrics=False).metrics is None
     assert RunProfile(metrics=None).metrics is None
+    assert RunProfile(metrics=False).digest() == RunProfile().digest()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_or_nonpositive_times_are_rejected(bad):
+    # NaN and inf pass a "<= 0" check: a sample or branch point at
+    # either is never reached, and a NaN bitrate fails deep in the build.
+    with pytest.raises(ValueError):
+        MetricsConfig(interval=bad)
+    with pytest.raises(ValueError):
+        RunProfile(metrics=bad)
+    with pytest.raises(ValueError):
+        WarmStart(at=bad, store="unused")
+    with pytest.raises(ValueError):
+        RunProfile(bitrate_bps=bad)
 
 
 def test_grid_kwargs_normalize_to_sorted_items():

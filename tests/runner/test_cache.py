@@ -11,9 +11,8 @@ def _run_one(cache, collect=True):
 
 
 def _default_config(collect=True):
-    """The config hash run_cells uses for a default (pinned) profile."""
-    pinned = RunProfile(sanitize=False, metrics=False)
-    return profile_hash(pinned, collect_digests=collect)
+    """The config hash run_cells uses for a default profile."""
+    return profile_hash(RunProfile(), collect_digests=collect)
 
 
 def test_round_trip_hits_and_preserves_result(tmp_path):
@@ -42,8 +41,8 @@ def test_key_changes_with_every_cell_and_config_field(tmp_path):
         Cell("table9", seed=0, duration=30.0, warmup=6.0),
     ]
     keys = {cache.key(cell, config) for cell in variants}
-    sanitized = RunProfile(sanitize=True, metrics=False)
-    keys.add(cache.key(base, profile_hash(sanitized, collect_digests=True)))
+    flipped = RunProfile(sanitize=not RunProfile().sanitize)
+    keys.add(cache.key(base, profile_hash(flipped, collect_digests=True)))
     keys.add(cache.key(base, config, version="other-code-version"))
     assert reference not in keys
     assert len(keys) == 6

@@ -60,6 +60,32 @@ def test_sweep_stop_after_then_resume_matches_reference(
     assert _digest_set(out) == expected
 
 
+def _usage_error_line(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("macaw-sim: ") and "\n" not in err, err
+    return err
+
+
+def test_sweep_negative_retries_returns_2(fake_experiments, tmp_path, capsys):
+    assert _sweep(tmp_path, "svc-fast", "--retries", "-1", "--jobs", "2") == 2
+    assert "--retries must be >= 0" in _usage_error_line(capsys)
+    assert not (tmp_path / "jobs").exists()  # no job that never ran
+
+
+def test_sweep_non_finite_backoff_returns_2(fake_experiments, tmp_path, capsys):
+    # A NaN retry slot is never due: the retried cell would never run.
+    assert _sweep(tmp_path, "svc-fast", "--backoff", "nan") == 2
+    assert "--backoff must be a finite number" in _usage_error_line(capsys)
+    assert not (tmp_path / "jobs").exists()
+
+
+def test_sweep_non_finite_epsilon_returns_2(fake_experiments, tmp_path, capsys):
+    # A NaN target is never met: every experiment would run to --max-seeds.
+    assert _sweep(tmp_path, "svc-fast", "--adaptive", "--epsilon", "nan") == 2
+    assert "epsilon must be a finite number" in _usage_error_line(capsys)
+    assert not (tmp_path / "jobs").exists()
+
+
 def test_sweep_list_shows_jobs(fake_experiments, tmp_path, capsys):
     _sweep(tmp_path, "svc-fast", "--seeds", "0,1")
     capsys.readouterr()

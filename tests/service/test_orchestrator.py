@@ -137,6 +137,14 @@ def test_in_cell_exception_not_retried(fake_experiments, tmp_path):
         _run(spec, tmp_path, jobs=2, retries=5, backoff_s=0.01)
 
 
+@pytest.mark.parametrize("bad", [dict(retries=-1), dict(backoff_s=float("nan")),
+                                 dict(backoff_s=-1.0)])
+def test_bad_retry_settings_leave_no_job(fake_experiments, tmp_path, bad):
+    with pytest.raises(ValueError):
+        _run(_spec(), tmp_path, jobs=2, **bad)
+    assert not (tmp_path / "jobs-a").exists()
+
+
 def test_adaptive_stops_at_min_when_epsilon_wide(fake_experiments, tmp_path):
     spec = _spec(policy=AdaptiveSeeds(epsilon=1e6, min_seeds=3, max_seeds=8))
     job = _run(spec, tmp_path)

@@ -52,6 +52,12 @@ def test_fixed_seeds_validation():
         FixedSeeds(seeds=(1, 1))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_adaptive_rejects_bad_epsilon(bad):
+    with pytest.raises(ValueError, match="epsilon"):
+        AdaptiveSeeds(epsilon=bad)
+
+
 def test_adaptive_stops_when_ci_tight():
     policy = AdaptiveSeeds(epsilon=100.0, min_seeds=3, max_seeds=10)
     assert policy.initial_seeds() == [0, 1, 2]

@@ -100,3 +100,37 @@ def test_fork_leaves_the_original_builder_untouched():
     before = builder.profile
     fork(snap, builder, profile_changes={"queue": "wheel"})
     assert builder.profile is before
+
+
+def test_fork_swaps_forkable_sanitize_knob():
+    # The fork's knob must survive the restore: the captured scenario
+    # ran unsanitized.
+    assert "sanitize" in FORKABLE_KNOBS
+    snap, builder = make_snapshot()
+    checked = fork(snap, builder, profile_changes={"sanitize": True})
+    assert checked.sanitize
+    checked.run(HORIZON)
+    assert checked.conformance is not None and checked.conformance.ok
+
+
+def test_fork_refuses_the_metrics_knob():
+    # The snapshot carries the sampler's position at the captured
+    # interval: adding or removing a sampler cannot restore, and a new
+    # interval would replay the old tick count at the wrong cadence.
+    assert "metrics" not in FORKABLE_KNOBS
+    snap, builder = make_snapshot()
+    for value in (True, 2.0):
+        with pytest.raises(SnapshotError, match="metrics"):
+            fork(snap, builder, profile_changes={"metrics": value})
+
+
+def test_fork_refuses_to_sanitize_an_untraced_snapshot():
+    # Its trace would start mid-exchange at the branch point, and the
+    # sanitizer would report the missing prefix as protocol violations.
+    builder = poisson_builder()
+    builder.profile = builder.profile.but(trace=False, sanitize=False)
+    scenario = builder.build()
+    scenario.sim.run(until=BRANCH_AT)
+    snap = Snapshot.capture(scenario, builder)
+    with pytest.raises(SnapshotError, match="untraced"):
+        fork(snap, builder, profile_changes={"sanitize": True})

@@ -89,6 +89,30 @@ def test_warm_restore_skips_warmup_events(tmp_path):
     assert 0 < simulated < reference[0]
 
 
+def test_warm_start_keeps_the_trace_capture(tmp_path):
+    # The warming run had no trace capture open; the restored run must
+    # still hand its records to the one that is.
+    from repro.experiments.registry import get_experiment
+    from repro.topo.builder import capturing
+
+    exp = get_experiment("table9")
+    warm_start = RunProfile(warm_start=WarmStart(at=5.0,
+                                                 store=str(tmp_path / "store")))
+
+    def runs(profile, **capture):
+        with capturing(**capture) as captured:
+            exp.run(seed=0, duration=10.0, warmup=0.0, profile=profile)
+        return captured
+
+    cold = runs(RunProfile(), digests=True, traces=True)
+    runs(warm_start, digests=True)  # warms the store, digests only
+    warm = runs(warm_start, digests=True, traces=True)  # restores it
+    assert len(warm) == len(cold) == 2
+    assert [r.digest for r in warm] == [r.digest for r in cold]
+    assert [r.records for r in warm] == [r.records for r in cold]
+    assert all(r.records for r in cold)
+
+
 # --------------------------------------------------------- store keys
 def test_warm_key_is_stable_and_sensitive():
     base = fig2_two_pads(protocol="macaw", seed=0)

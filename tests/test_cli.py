@@ -50,11 +50,15 @@ def test_verify_trace_unknown_experiment_returns_2(capsys):
 
 
 def test_verify_trace_leaves_sanitize_mode_off(capsys):
-    from repro.verify.runtime import sanitize_enabled
+    from repro.core.config import RunProfile, ambient_profile
 
+    before = RunProfile()
     main(["verify-trace", "table9", "--duration", "60", "--warmup", "10"])
     capsys.readouterr()
-    assert not sanitize_enabled()
+    # The sanitizer came from verify-trace's own profile: nothing ambient
+    # is left behind for later runs to pick up.
+    assert ambient_profile() is None
+    assert RunProfile() == before
 
 
 def test_seeds_accepts_explicit_comma_list(capsys):
@@ -147,6 +151,17 @@ def test_snapshot_nonpositive_jobs_returns_2(tmp_path, capsys):
     assert main(["snapshot", "table9", "--jobs", "0",
                  "--store", str(store)]) == 2
     assert "--jobs must be >= 1" in _usage_error_line(capsys)
+    assert not store.exists()
+
+
+def test_non_finite_warm_start_time_returns_2(tmp_path, capsys):
+    store = tmp_path / "store"
+    assert main(["table9", "--duration", "20", "--warmup", "2",
+                 "--warm-start", f"{store}@nan"]) == 2
+    assert "warm-start time must be a finite number" in _usage_error_line(capsys)
+    assert main(["snapshot", "table9", "--at", "nan", "--duration", "30",
+                 "--store", str(store)]) == 2
+    assert "--at must be a finite number" in _usage_error_line(capsys)
     assert not store.exists()
 
 

@@ -280,10 +280,10 @@ def test_sanitize_flag_enables_tracing_and_checks():
 
 
 def test_sanitized_context_reaches_nested_builds():
-    from repro.verify.runtime import sanitize_enabled, sanitized
+    from repro.core.config import active_profile, ambient_profile
+    from repro.topo.builder import capturing
 
-    assert not sanitize_enabled()
-    with sanitized(True) as stats:
+    with active_profile(RunProfile(sanitize=True)), capturing() as runs:
         builder = ScenarioBuilder(seed=3)
         builder.add_base("B")
         builder.add_pad("P")
@@ -292,17 +292,15 @@ def test_sanitized_context_reaches_nested_builds():
         scenario = builder.build()
         assert scenario.sanitize
         scenario.run(2.0)
-    assert stats.runs == 1
-    assert stats.records == len(scenario.sim.trace)
-    assert stats.violations == 0
-    assert not sanitize_enabled()
+    assert len(runs) == 1
+    assert runs[0].examined == len(scenario.sim.trace)
+    assert runs[0].violations == 0
+    assert ambient_profile() is None
 
 
 def test_env_var_enables_sanitize(monkeypatch):
-    from repro.verify.runtime import sanitize_enabled
-
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert sanitize_enabled()
-    assert not sanitize_enabled(explicit=False)  # explicit choice wins
+    assert RunProfile().sanitize is True
+    assert RunProfile(sanitize=False).sanitize is False  # explicit choice wins
     monkeypatch.setenv("REPRO_SANITIZE", "off")
-    assert not sanitize_enabled()
+    assert RunProfile().sanitize is False

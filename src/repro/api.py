@@ -178,7 +178,10 @@ def sweep(
     collect_digests:
         Capture per-cell trace digests (the resume-equality contract).
     on_event:
-        Optional ``(kind, payload)`` progress callback.
+        Optional ``(kind, record)`` progress callback: each journal record
+        as :func:`~repro.service.run_job` appends it (``job``, ``cell``,
+        ``stop``, ``interrupted``, ``complete``), plus an ``interrupt``
+        notice ``{"drain": n}`` when ^C starts a drain.
     """
     if policy is not None and seeds is not None:
         raise ValueError("pass either seeds or policy, not both")

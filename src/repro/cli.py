@@ -1,4 +1,4 @@
-"""Command-line interface: run reproduced experiments.
+"""Command-line interface: every ``macaw-sim`` subcommand.
 
 Usage::
 
@@ -30,15 +30,15 @@ Usage::
 explicit comma-separated list (``--seeds 0,1,2,3``).  ``--jobs N`` fans the
 experiment × seed grid out over N worker processes via the cell scheduler
 (:mod:`repro.service.scheduler`); results are byte-identical to a serial
-run, and a worker that keeps dying or a cell that raises exits 1.
-``--cache`` memoizes finished cells on disk (keyed by experiment, seed,
-bounds, runtime config and a source-tree content hash), and ``--digest``
-prints each cell's combined trace digest — the determinism fingerprint.
+run.  ``--cache`` memoizes finished cells on disk (keyed by experiment,
+seed, bounds, runtime config and a source-tree content hash), and
+``--digest`` prints each cell's combined trace digest — the determinism
+fingerprint.
 
 ``--metrics`` instruments every run with the :mod:`repro.obs` probe
 catalogue (sampled at ``--metrics-interval`` simulated seconds) without
 perturbing determinism; ``--metrics-out DIR`` writes one JSONL file per
-cell, ready for ``python -m repro.obs.aggregate`` to band across seeds.
+run, ready for ``python -m repro.obs.aggregate`` to band across seeds.
 
 ``verify-trace`` runs experiments with the protocol conformance sanitizer
 enabled: every station's trace is replayed through the statechart and
@@ -66,99 +66,132 @@ noise bursts, station churn — :mod:`repro.fault`); same-seed runs stay
 deterministic.  The ``chaos`` subcommand instead runs the degradation
 benchmark: clean vs faulted six-pad cells per protocol, reporting how
 much throughput and delay MACAW/MACA/CSMA retain under the schedule.
+
+``diff`` and ``fuzz`` drive the differential oracle
+(:mod:`repro.verify.diff`); ``analyze`` is the static analyzer
+(:mod:`repro.verify.analysis.cli`).
+
+Every subcommand is parsed here, from one definition per shared flag.
+Set-up (flag checks, experiment lookup and horizons, building the
+profile, spec or oracle) runs inside :func:`_setup`, which turns what
+it rejects into a :class:`UsageError`: one ``macaw-sim:`` line, exit 2.
+A worker that kept dying, a cell that raised in a worker or a broken
+journal is one line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.experiments.base import SeedSweepResult
-from repro.experiments.registry import all_experiments, experiment_ids, get_experiment
+from repro.core.config import RunProfile, WarmStart
+from repro.experiments.base import Experiment, SeedSweepResult, check_horizon
+from repro.experiments.registry import all_experiments, get_experiment
+from repro.runner import ResultCache, expand_cells
 from repro.runner.cells import parse_seeds
+from repro.service import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_JOB_DIR,
+    DEFAULT_RETRIES,
+    AdaptiveSeeds,
+    CellFailure,
+    FixedSeeds,
+    Job,
+    JobSpec,
+    JournalError,
+    WorkerDeath,
+    find_job,
+    run_cells,
+    run_job,
+)
+
+
+class UsageError(Exception):
+    """A bad command line: :func:`main` prints it as one line, exit 2."""
+
+
+@contextmanager
+def _setup() -> Iterator[None]:
+    """A subcommand's set-up: what it rejects becomes a :class:`UsageError`.
+
+    Only set-up belongs inside; an exception a running experiment raises
+    is not a usage error.
+    """
+    try:
+        yield
+    except KeyError as exc:  # the registry's message names the known ids
+        raise UsageError(exc.args[0]) from None
+    except (ValueError, FileNotFoundError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _warn(message: str) -> None:
-    """One ``macaw-sim:`` line on stderr (``--seeds`` duplicate notes)."""
+    """One ``macaw-sim:`` line on stderr."""
     print(f"macaw-sim: {message}", file=sys.stderr)
 
 
-def _add_run_options(parser: argparse.ArgumentParser, seeds: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    if seeds:
+# ------------------------------------------------------------ shared flags
+def _add_seeds(parser: argparse.ArgumentParser, seeds: Optional[str] = "1",
+               multi: bool = True) -> None:
+    """``--seed``, and ``--seeds`` (default ``seeds``) when ``multi``."""
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    if multi:
         parser.add_argument(
-            "--seeds", default="1", metavar="N|A,B,...",
-            help="run N seeds (seed..seed+N-1) or an explicit comma-separated "
-            "seed list; multiple seeds report means + pass rates",
+            "--seeds", default=seeds, metavar="N|A,B,...",
+            help="run N seeds (seed..seed+N-1) or an explicit "
+            "comma-separated seed list"
+            + ("" if seeds is None else f" (default {seeds})"),
         )
-    parser.add_argument(
-        "--duration", type=float, default=None,
-        help="simulated seconds per run (default: experiment-specific)",
-    )
-    parser.add_argument(
-        "--warmup", type=float, default=None,
-        help="seconds excluded from throughput (default 50, as in the paper)",
-    )
-    parser.add_argument(
-        "--no-paper", action="store_true",
-        help="hide the paper's reference columns",
-    )
 
 
-def _parse_metrics_interval(spec: str) -> float:
-    """Sampling interval from a ``--metrics-interval`` value.
+def _seeds(args: argparse.Namespace, default: str = "1") -> List[int]:
+    spec = args.seeds if args.seeds is not None else default
+    return parse_seeds(spec, args.seed, warn=_warn)
 
-    Raises ValueError (reported as exit 2, like ``--seeds``) on anything
-    that is not a positive number.
-    """
-    try:
-        interval = float(spec)
-    except ValueError:
-        raise ValueError(
-            f"--metrics-interval must be a positive number of seconds, got {spec!r}"
-        ) from None
-    if interval <= 0 or interval != interval or interval == float("inf"):
-        raise ValueError(
-            f"--metrics-interval must be a positive number of seconds, got {spec!r}"
+
+def _add_horizon(parser: argparse.ArgumentParser,
+                 duration: Optional[float] = None,
+                 warmup: Optional[float] = None,
+                 unset: str = "experiment-specific",
+                 warmup_flag: bool = True) -> None:
+    """``--duration``, and ``--warmup`` when ``warmup_flag``; ``unset``
+    says what a None default means."""
+    def default(value: Optional[float]) -> str:
+        return unset if value is None else f"{value:g}"
+
+    parser.add_argument(
+        "--duration", type=float, default=duration,
+        help=f"simulated seconds per run (default: {default(duration)})",
+    )
+    if warmup_flag:
+        parser.add_argument(
+            "--warmup", type=float, default=warmup,
+            help="seconds excluded from measurements "
+            f"(default: {default(warmup)})",
         )
-    return interval
 
 
-def _add_runner_options(parser: argparse.ArgumentParser) -> None:
+def _add_faults(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--faults", default=None, metavar="SPEC.json",
+        help="inject the fault schedule in a JSON spec into every run "
+        "(see repro.fault; deterministic per seed)",
+    )
+
+
+def _add_execution(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``, ``--queue``, ``--faults`` and ``--chaos``; read by
+    :func:`_profile`."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the experiment × seed grid (default 1)",
-    )
-    parser.add_argument(
-        "--digest", action="store_true",
-        help="print each run's combined trace digest (forces tracing on)",
-    )
-    parser.add_argument(
-        "--cache", action="store_true",
-        help="memoize finished runs on disk (.macaw_cache or $MACAW_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory (implies --cache)",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="instrument runs with the repro.obs probe catalogue "
-        "(per-station backoff/queue/dwell, channel busy fraction, "
-        "per-stream load); determinism-neutral",
-    )
-    parser.add_argument(
-        "--metrics-interval", default="1.0", metavar="SECONDS",
-        help="sampling cadence in simulated seconds (default 1.0)",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="DIR",
-        help="write one metrics JSONL file per cell into DIR "
-        "(implies --metrics; aggregate sweeps with "
-        "'python -m repro.obs.aggregate DIR/*.jsonl')",
+        help="worker processes for the experiment × seed grid; results are "
+        "byte-identical at any value (default 1)",
     )
     parser.add_argument(
         "--queue", default=None, metavar="BACKEND",
@@ -167,42 +200,7 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
         "results are byte-identical per seed, only speed differs "
         "($REPRO_QUEUE sets the ambient default)",
     )
-    parser.add_argument(
-        "--warm-start", default=None, metavar="STORE[@T]",
-        help="fast-forward every run's warm-up through the snapshot "
-        "store at STORE, branching at T simulated seconds (default 50); "
-        "missing snapshots are created on first use ('macaw-sim "
-        "snapshot' pre-warms a store).  Results are byte-identical to "
-        "cold runs",
-    )
-    _add_fault_options(parser)
-
-
-def _parse_warm_start(spec: str):
-    """A :class:`WarmStart` from a ``--warm-start STORE[@T]`` value."""
-    store, _, at_text = spec.partition("@")
-    if not store:
-        raise ValueError(f"--warm-start needs a store directory, got {spec!r}")
-    at = 50.0
-    if at_text:
-        try:
-            at = float(at_text)
-        except ValueError:
-            raise ValueError(
-                f"--warm-start time must be a number, got {at_text!r}"
-            ) from None
-    from repro.core.config import WarmStart
-    from repro.snapshot import store_digest
-
-    return WarmStart(at=at, store=store, digest=store_digest(store))
-
-
-def _add_fault_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--faults", default=None, metavar="SPEC.json",
-        help="inject the fault schedule from a JSON spec into every run "
-        "(see repro.fault; deterministic per seed)",
-    )
+    _add_faults(parser)
     parser.add_argument(
         "--chaos", default=None, metavar="PRESET",
         help="inject a named chaos preset ('macaw-sim chaos --list' "
@@ -214,7 +212,7 @@ def _load_schedule(faults_path: Optional[str], chaos_name: Optional[str]):
     """The fault schedule the flags ask for, or None.
 
     Raises ValueError on conflicting flags, unknown presets, or an
-    unreadable/invalid spec file — reported as exit 2 by the callers.
+    unreadable/invalid spec file.
     """
     if faults_path is not None and chaos_name is not None:
         raise ValueError("--faults and --chaos are mutually exclusive")
@@ -232,34 +230,226 @@ def _load_schedule(faults_path: Optional[str], chaos_name: Optional[str]):
     return None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _profile(args: argparse.Namespace, **knobs: Any) -> RunProfile:
+    """The profile :func:`_add_execution`'s flags ask for, plus ``knobs``."""
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
+    return RunProfile(faults=_load_schedule(args.faults, args.chaos),
+                      queue=args.queue, **knobs)
+
+
+def _add_cache_dir(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="result cache directory (default .macaw_cache or "
+        "$MACAW_CACHE_DIR); a run caches with --cache or this flag, a "
+        "sweep always caches",
+    )
+
+
+def _add_metrics(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--metrics", action="store_true",
+        help="instrument runs with the repro.obs probe catalogue "
+        "(per-station backoff/queue/dwell, channel busy fraction, "
+        "per-stream load, fault.* under faults); determinism-neutral",
+    )
+    parser.add_argument(
+        "--metrics-interval", default="1.0", metavar="SECONDS",
+        help="sampling cadence in simulated seconds (default 1.0)",
+    )
+    parser.add_argument(
+        "--metrics-out", default=None, metavar="DIR",
+        help="write one metrics JSONL file per run into DIR "
+        "(implies --metrics; aggregate sweeps with "
+        "'python -m repro.obs.aggregate DIR/*.jsonl')",
+    )
+
+
+def _metrics_interval(args: argparse.Namespace) -> Optional[float]:
+    """The sampling interval when metrics are on, else None."""
+    try:
+        interval = float(args.metrics_interval)
+    except ValueError:
+        interval = math.nan
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError("--metrics-interval must be a positive number of "
+                         f"seconds, got {args.metrics_interval!r}")
+    return interval if args.metrics or args.metrics_out is not None else None
+
+
+def _write_metrics(out_dir: Optional[str], interval: float,
+                   runs: List[tuple]) -> None:
+    """Write one JSONL file per ``(file stem, meta, dumps)`` run into
+    ``out_dir``, or summarize the series when there is none."""
+    series = sum(len(dump.get("series", []))
+                 for _, _, dumps in runs for dump in dumps)
+    if out_dir is None:
+        print(f"metrics: {series} series collected at {interval:g}s cadence "
+              "(pass --metrics-out DIR to save JSONL)")
+        return
+    from repro.obs.export import write_jsonl
+
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    written = 0
+    for stem, meta, dumps in runs:
+        if dumps:
+            write_jsonl(directory / f"{stem}.metrics.jsonl", dumps,
+                        meta={**meta, "interval": interval})
+            written += 1
+    print(f"metrics: {series} series -> {directory}/ ({written} files)")
+
+
+def _add_matrix(parser: argparse.ArgumentParser, out: str) -> None:
+    """``--queues`` and ``--out``: the mode matrix's backends, and where a
+    divergence's repro lands."""
+    parser.add_argument("--queues", default="heap,wheel", metavar="A,B",
+                        help="queue backends to cross (first = baseline)")
+    parser.add_argument("--out", default=out, metavar="PATH",
+                        help="where the minimal-repro JSON lands on failure")
+
+
+def _queues(args: argparse.Namespace) -> List[str]:
+    queues = [item.strip() for item in args.queues.split(",") if item.strip()]
+    if not queues:
+        raise ValueError(f"--queues needs at least one backend, got {args.queues!r}")
+    return queues
+
+
+def _experiments(selectors: Sequence[str], duration: Optional[float],
+                 warmup: Optional[float]) -> List[Experiment]:
+    """The experiments ``selectors`` name ('all' is every one), after
+    checking each has a measurement window under the bounds.
+
+    An unknown id raises the registry's KeyError, which names the known
+    ids.
+    """
+    experiments: List[Experiment] = []
+    for name in selectors:
+        experiments += all_experiments() if name == "all" else [get_experiment(name)]
+    for exp in experiments:
+        exp.horizon(duration, warmup)
+    return experiments
+
+
+def _parse_warm_start(spec: Optional[str]) -> Optional[WarmStart]:
+    """A :class:`WarmStart` from a ``--warm-start STORE[@T]`` value."""
+    if spec is None:
+        return None
+    store, _, at_text = spec.partition("@")
+    if not store:
+        raise ValueError(f"--warm-start needs a store directory, got {spec!r}")
+    try:
+        at = float(at_text) if at_text else 50.0
+    except ValueError:
+        raise ValueError(
+            f"--warm-start time must be a number, got {at_text!r}"
+        ) from None
+    from repro.snapshot import store_digest
+
+    return WarmStart(at=at, store=store, digest=store_digest(store))
+
+
+# ------------------------------------------------------------- subcommands
+def _cmd_run(argv: List[str]) -> int:
+    """Run experiments; print each table with its checks."""
     parser = argparse.ArgumentParser(
         prog="macaw-sim",
         description="MACAW (SIGCOMM '94) reproduction: run the paper's experiments.",
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (see 'list'), or 'all', 'list', or 'verify-trace'",
+        help="experiment id (see 'list'), 'all' or 'list'; or one of the "
+        f"subcommands {', '.join(_COMMANDS)}",
     )
-    _add_run_options(parser)
-    _add_runner_options(parser)
-    return parser
+    _add_seeds(parser)
+    _add_horizon(parser)
+    parser.add_argument(
+        "--no-paper", action="store_true",
+        help="hide the paper's reference columns",
+    )
+    _add_execution(parser)
+    parser.add_argument(
+        "--digest", action="store_true",
+        help="print each run's combined trace digest (forces tracing on)",
+    )
+    parser.add_argument(
+        "--cache", action="store_true",
+        help="memoize finished runs on disk (.macaw_cache or $MACAW_CACHE_DIR)",
+    )
+    _add_cache_dir(parser)
+    _add_metrics(parser)
+    parser.add_argument(
+        "--warm-start", default=None, metavar="STORE[@T]",
+        help="fast-forward every run's warm-up through the snapshot "
+        "store at STORE, branching at T simulated seconds (default 50); "
+        "missing snapshots are created on first use ('macaw-sim "
+        "snapshot' pre-warms a store).  Results are byte-identical to "
+        "cold runs",
+    )
+    args = parser.parse_args(argv)
 
+    if args.experiment == "list":
+        for exp in all_experiments():
+            print(f"{exp.spec.exp_id:24} {exp.spec.title}")
+        return 0
 
-def _resolve_experiments(selector: str) -> Optional[list]:
-    """Experiments named by ``selector`` ('all' or an id); None if unknown."""
-    if selector == "all":
-        return all_experiments()
-    try:
-        return [get_experiment(selector)]
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return None
+    with _setup():
+        experiments = _experiments([args.experiment], args.duration, args.warmup)
+        seeds = _seeds(args)
+        interval = _metrics_interval(args)
+        # The one profile of the invocation: it flows through run_cells
+        # into every cell, serially or into each worker process.
+        profile = _profile(args, metrics=interval,
+                           warm_start=_parse_warm_start(args.warm_start))
+
+    cache = (ResultCache(args.cache_dir)
+             if args.cache or args.cache_dir is not None else None)
+    started = time.perf_counter()  # repro-lint: allow=REPRO102 (wall-time report)
+    cells = expand_cells(
+        [exp.spec.exp_id for exp in experiments], seeds,
+        duration=args.duration, warmup=args.warmup,
+    )
+    outcomes = run_cells(cells, jobs=args.jobs, cache=cache,
+                         collect_digests=args.digest, profile=profile)
+    elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
+
+    if interval is not None:
+        _write_metrics(args.metrics_out, interval, [
+            (f"{o.cell.exp_id}_seed{o.cell.seed}",
+             {"exp": o.cell.exp_id, "seed": o.cell.seed,
+              "duration": o.cell.duration}, o.metrics)
+            for o in outcomes
+        ])
+
+    all_passed = True
+    for exp in experiments:
+        rows = [o for o in outcomes if o.cell.exp_id == exp.spec.exp_id]
+        result = rows[0].result if len(rows) == 1 else SeedSweepResult(
+            spec=exp.spec, results=[row.result for row in rows])
+        print(result.render(show_paper=not args.no_paper))
+        all_passed = all_passed and result.passed
+        if args.digest:
+            for row in rows:
+                print(f"  digest seed {row.cell.seed}: {row.digest}")
+        detail = f"{len(rows)} run{'s' if len(rows) != 1 else ''}"
+        cached = sum(1 for row in rows if row.cached)
+        if cached:
+            detail += f", {cached} cached"
+        print(f"  ({rows[0].result.duration:g}s simulated, "
+              f"seed {rows[0].cell.seed}; {detail})")
+        print()
+
+    summary = f"{len(outcomes)} cells in {elapsed:.1f}s wall (jobs={args.jobs}"
+    if cache is not None:
+        summary += f", cache: {cache.hits} hits / {cache.misses} misses"
+    print(summary + ")")
+    return 0 if all_passed else 1
 
 
 def _cmd_verify_trace(argv: List[str]) -> int:
     """Run experiments under the conformance sanitizer; nonzero on violations."""
-    from repro.core.config import RunProfile
     from repro.topo.builder import capturing
     from repro.verify.conformance import ConformanceError
 
@@ -271,21 +461,15 @@ def _cmd_verify_trace(argv: List[str]) -> int:
     parser.add_argument(
         "experiment", help="experiment id (see 'list'), or 'all'",
     )
-    _add_run_options(parser, seeds=False)
+    _add_seeds(parser, multi=False)
+    _add_horizon(parser)
     args = parser.parse_args(argv)
 
-    experiments = _resolve_experiments(args.experiment)
-    if experiments is None:
-        return 2
-    try:
-        for exp in experiments:
-            exp.horizon(args.duration, args.warmup)
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
+    with _setup():
+        experiments = _experiments([args.experiment], args.duration, args.warmup)
+        profile = RunProfile(sanitize=True)
 
     clean = True
-    profile = RunProfile(sanitize=True)
     for exp in experiments:
         with capturing() as runs:
             try:
@@ -306,6 +490,8 @@ def _cmd_verify_trace(argv: List[str]) -> int:
 
 def _cmd_chaos(argv: List[str]) -> int:
     """Degradation benchmark: clean vs faulted runs per protocol."""
+    from repro.fault.presets import preset_names
+
     parser = argparse.ArgumentParser(
         prog="macaw-sim chaos",
         description="Compare protocol throughput/delay with and without a "
@@ -315,89 +501,41 @@ def _cmd_chaos(argv: List[str]) -> int:
         "preset", nargs="?", default=None,
         help="chaos preset name (see --list); or use --faults SPEC.json",
     )
-    parser.add_argument(
-        "--faults", default=None, metavar="SPEC.json",
-        help="fault schedule from a JSON spec instead of a preset",
-    )
+    _add_faults(parser)
     parser.add_argument(
         "--list", action="store_true", help="list the known presets and exit",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument(
-        "--duration", type=float, default=300.0,
-        help="simulated seconds per run (default 300)",
-    )
-    parser.add_argument(
-        "--warmup", type=float, default=50.0,
-        help="seconds excluded from measurements (default 50)",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="instrument the faulted runs (fault.* probes included)",
-    )
-    parser.add_argument(
-        "--metrics-interval", default="1.0", metavar="SECONDS",
-        help="sampling cadence in simulated seconds (default 1.0)",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="DIR",
-        help="write the faulted runs' metrics JSONL into DIR "
-        "(implies --metrics)",
-    )
+    _add_seeds(parser, multi=False)
+    _add_horizon(parser, duration=300.0, warmup=50.0)
+    _add_metrics(parser)
     args = parser.parse_args(argv)
-
-    from repro.experiments.base import check_horizon
-    from repro.fault.presets import preset_names
 
     if args.list:
         for name in preset_names():
             print(name)
         return 0
-    try:
-        metrics_interval = _parse_metrics_interval(args.metrics_interval)
+    with _setup():
+        interval = _metrics_interval(args)
         schedule = _load_schedule(args.faults, args.preset)
         check_horizon(args.duration, args.warmup)
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
-    if schedule is None:
-        print(
-            f"macaw-sim: chaos needs a preset ({', '.join(preset_names())}) "
-            "or --faults SPEC.json",
-            file=sys.stderr,
-        )
-        return 2
-    if args.warmup >= args.duration:
-        print("macaw-sim: --warmup must precede --duration", file=sys.stderr)
-        return 2
-    metrics_on = args.metrics or args.metrics_out is not None
+        if schedule is None:
+            raise ValueError(f"chaos needs a preset ({', '.join(preset_names())}) "
+                             "or --faults SPEC.json")
+        if args.warmup >= args.duration:
+            raise ValueError("--warmup must precede --duration")
 
     from repro.fault.report import run_degradation
 
-    report = run_degradation(
-        schedule,
-        seed=args.seed,
-        duration=args.duration,
-        warmup=args.warmup,
-        metrics=metrics_interval if metrics_on else None,
-    )
+    report = run_degradation(schedule, seed=args.seed, duration=args.duration,
+                             warmup=args.warmup, metrics=interval)
     print(report.render())
-    if args.metrics_out is not None and report.metrics:
-        from pathlib import Path
-
-        from repro.obs.export import write_jsonl
-
-        directory = Path(args.metrics_out)
-        directory.mkdir(parents=True, exist_ok=True)
-        for protocol, dump in report.metrics.items():
-            path = directory / f"chaos_{protocol}_seed{args.seed}.metrics.jsonl"
-            write_jsonl(path, [dump], meta={
-                "exp": f"chaos:{args.preset or args.faults}",
-                "seed": args.seed,
-                "duration": args.duration,
-                "interval": metrics_interval,
-            })
-        print(f"metrics: {len(report.metrics)} faulted runs -> {directory}/")
+    if interval is not None:
+        _write_metrics(args.metrics_out, interval, [
+            (f"chaos_{protocol}_seed{args.seed}",
+             {"exp": f"chaos:{args.preset or args.faults}",
+              "seed": args.seed, "duration": args.duration}, [dump])
+            for protocol, dump in report.metrics.items()
+        ])
     return 0
 
 
@@ -427,77 +565,33 @@ def _cmd_snapshot(argv: List[str]) -> int:
         "--store", default=".macaw_snapshots", metavar="DIR",
         help="snapshot store directory (default .macaw_snapshots)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument(
-        "--seeds", default="1", metavar="N|A,B,...",
-        help="seed count or explicit comma-separated list (as for runs)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=None,
-        help="simulated seconds per warming run (default: --at + 10)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (atomic store writes make this safe)",
-    )
-    parser.add_argument(
-        "--queue", default=None, metavar="BACKEND",
-        help="event-queue backend for the warming runs",
-    )
-    _add_fault_options(parser)
+    _add_seeds(parser)
+    _add_horizon(parser, unset="--at + 10", warmup_flag=False)
+    _add_execution(parser)
     args = parser.parse_args(argv)
 
-    experiments = _resolve_experiments(args.experiment)
-    if experiments is None:
-        return 2
     duration = args.duration if args.duration is not None else args.at + 10.0
-    try:
-        seeds = parse_seeds(args.seeds, args.seed, warn=_warn)
-        schedule = _load_schedule(args.faults, args.chaos)
+    with _setup():
         if not (math.isfinite(args.at) and args.at > 0):
             raise ValueError(f"--at must be a finite number > 0, got {args.at!r}")
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
         if duration <= args.at:
             raise ValueError("--duration must exceed --at")
-        for exp in experiments:
-            exp.horizon(duration, 0.0)
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
-
-    from pathlib import Path
-
-    from repro.core.config import RunProfile, WarmStart
-    from repro.runner import expand_cells
-    from repro.service import CellFailure, WorkerDeath, run_cells
-
-    try:
-        profile = RunProfile(
-            faults=schedule,
-            queue=args.queue,
-            # Warm traced: the snapshot then carries the t<T records a
-            # --digest or sanitized sweep needs, and warm_key treats
-            # "traced however it was forced" as one key, so this store
-            # serves traced and digest-collecting runs alike.  Untraced
-            # sweeps warm their own (cheaper) snapshots on first use.
-            trace=True,
-            warm_start=WarmStart(at=args.at, store=args.store),
-        )
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
+        experiments = _experiments([args.experiment], duration, 0.0)
+        seeds = _seeds(args)
+        # Warm traced: the snapshot then carries the t<T records a
+        # --digest or sanitized sweep needs, and warm_key treats "traced
+        # however it was forced" as one key, so this store serves traced
+        # and digest-collecting runs alike.  Untraced sweeps warm their
+        # own (cheaper) snapshots on first use.
+        profile = _profile(args, trace=True,
+                           warm_start=WarmStart(at=args.at, store=args.store))
 
     started = time.perf_counter()  # repro-lint: allow=REPRO102 (wall-time report)
     cells = expand_cells(
         [exp.spec.exp_id for exp in experiments], seeds,
         duration=duration, warmup=0.0,
     )
-    try:
-        run_cells(cells, jobs=args.jobs, profile=profile)
-    except (WorkerDeath, CellFailure) as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 1
+    run_cells(cells, jobs=args.jobs, profile=profile)
     elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
 
     store = Path(args.store)
@@ -516,7 +610,8 @@ def _cmd_sweep(argv: List[str]) -> int:
     cell appends to a digest-chained JSONL journal, so ``--resume JOB``
     (or simply re-running the same spec) replays completed cells from
     the journal + result cache and continues byte-identically.  ^C
-    drains in-flight workers, journals them, and exits 130.
+    drains in-flight workers, journals them, and exits 130.  The
+    progress lines are the journal's records as they are appended.
     """
     parser = argparse.ArgumentParser(
         prog="macaw-sim sweep",
@@ -537,17 +632,12 @@ def _cmd_sweep(argv: List[str]) -> int:
         "--list", action="store_true", dest="list_jobs",
         help="list the jobs under --job-dir and exit",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument(
-        "--seeds", default=None, metavar="N|A,B,...",
-        help="fixed allocation: a count (seed..seed+N-1) or an explicit "
-        "comma-separated list (default 3; exclusive with --adaptive)",
-    )
+    _add_seeds(parser, seeds=None)
     parser.add_argument(
         "--adaptive", action="store_true",
-        help="sequential stopping: per experiment, keep adding seeds "
-        "until the target metric's CI half-width is below --epsilon "
-        "(or --max-seeds is hit)",
+        help="sequential stopping instead of fixed seeds (default --seeds "
+        "3): per experiment, keep adding seeds until the target metric's "
+        "CI half-width is below --epsilon (or --max-seeds is hit)",
     )
     parser.add_argument(
         "--epsilon", type=float, default=None, metavar="PPS",
@@ -575,207 +665,108 @@ def _cmd_sweep(argv: List[str]) -> int:
         "--confidence", type=float, default=0.95,
         help="adaptive: CI confidence level, 0.95 or 0.99 (default 0.95)",
     )
-    parser.add_argument(
-        "--duration", type=float, default=None,
-        help="simulated seconds per run (default: experiment-specific)",
-    )
-    parser.add_argument(
-        "--warmup", type=float, default=None,
-        help="seconds excluded from throughput",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes; purely a speed knob — the digest set is "
-        "identical at any value (default 1)",
-    )
+    _add_horizon(parser)
+    _add_execution(parser)
     parser.add_argument(
         "--job-dir", default=None, metavar="DIR",
-        help="where job journals live (default .macaw_jobs)",
+        help=f"where job journals live (default {DEFAULT_JOB_DIR})",
     )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache directory (default .macaw_cache or "
-        "$MACAW_CACHE_DIR; the service always caches — resume "
-        "rematerializes full results from it)",
-    )
-    parser.add_argument(
-        "--queue", default=None, metavar="BACKEND",
-        help="event-queue backend: 'heap' (default), 'wheel', or "
-        "'wheel:WIDTH' (byte-identical results, different speed)",
-    )
+    _add_cache_dir(parser)
     parser.add_argument(
         "--no-digest", action="store_true",
         help="skip per-cell trace digests (faster; forfeits the "
         "resume byte-equality fingerprint)",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=int, default=DEFAULT_RETRIES, metavar="N",
         help="worker-death retries per cell before the job fails "
-        "(default 2)",
+        "(default %(default)s)",
     )
     parser.add_argument(
-        "--backoff", type=float, default=None, metavar="SECONDS",
+        "--backoff", type=float, default=DEFAULT_BACKOFF_S, metavar="SECONDS",
         help="retry backoff base; retry N waits backoff * 2^(N-1) "
-        "(default 0.5)",
+        "(default %(default)s)",
     )
     # Deterministic interruption for tests and the CI resume smoke:
     # stop scheduling after N fresh cells, exit as if ^C'd.
     parser.add_argument(
         "--stop-after", type=int, default=None, help=argparse.SUPPRESS,
     )
-    _add_fault_options(parser)
     args = parser.parse_args(argv)
 
-    from pathlib import Path
-
-    from repro.core.config import RunProfile
-    from repro.runner import ResultCache
-    from repro.service import (
-        DEFAULT_BACKOFF_S,
-        DEFAULT_JOB_DIR,
-        DEFAULT_RETRIES,
-        AdaptiveSeeds,
-        CellFailure,
-        FixedSeeds,
-        Job,
-        JobSpec,
-        JournalError,
-        WorkerDeath,
-        find_job,
-        run_job,
-    )
-
     job_dir = args.job_dir if args.job_dir is not None else DEFAULT_JOB_DIR
-
     if args.list_jobs:
-        root = Path(job_dir)
-        entries = sorted(
-            entry for entry in (root.iterdir() if root.is_dir() else [])
-            if (entry / "spec.json").exists()
-        )
-        if not entries:
-            print(f"no jobs under {root}/")
-            return 0
-        for entry in entries:
-            try:
-                job = Job.load(entry)
-            except (ValueError, KeyError) as exc:
-                print(f"{entry.name}  (unreadable spec: {exc})")
-                continue
-            status, cells = _job_journal_summary(job)
-            policy = job.spec.policy.to_dict()
-            policy_text = (
-                f"seeds={len(policy['seeds'])}" if policy["kind"] == "fixed"
-                else f"adaptive eps={policy['epsilon']:g}"
-            )
-            print(f"{job.job_id}  {status:<12} {cells:>4} cells  "
-                  f"{policy_text:<20} {','.join(job.spec.experiments)}")
-        return 0
+        return _list_jobs(Path(job_dir))
 
-    if args.jobs < 1:
-        print("macaw-sim: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.retries is not None and args.retries < 0:
-        print(f"macaw-sim: --retries must be >= 0, got {args.retries}",
-              file=sys.stderr)
-        return 2
-    if args.backoff is not None and not (math.isfinite(args.backoff)
-                                         and args.backoff >= 0):
-        print(f"macaw-sim: --backoff must be a finite number of seconds "
-              f">= 0, got {args.backoff}", file=sys.stderr)
-        return 2
-
-    if args.resume is not None:
-        if args.experiments or args.seeds or args.adaptive:
-            print("macaw-sim: --resume takes no spec flags (the saved "
-                  "spec wins)", file=sys.stderr)
-            return 2
-        try:
+    with _setup():
+        # Built (and so checked) on --resume too, where the saved spec's
+        # profile wins.
+        profile = _profile(args)
+        if args.retries < 0:
+            raise ValueError(f"--retries must be >= 0, got {args.retries}")
+        if not (math.isfinite(args.backoff) and args.backoff >= 0):
+            raise ValueError("--backoff must be a finite number of seconds "
+                             f">= 0, got {args.backoff}")
+        if args.resume is not None:
+            if args.experiments or args.seeds or args.adaptive:
+                raise ValueError("--resume takes no spec flags (the saved "
+                                 "spec wins)")
             spec = find_job(args.resume, job_dir).spec
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"macaw-sim: {exc}", file=sys.stderr)
-            return 2
-    else:
-        if not args.experiments:
-            print("macaw-sim: sweep needs experiment ids, --resume JOB, "
-                  "or --list", file=sys.stderr)
-            return 2
-        if args.experiments == ["all"]:
-            exp_ids = experiment_ids()
+        elif not args.experiments:
+            raise ValueError("sweep needs experiment ids, --resume JOB, "
+                             "or --list")
         else:
-            exp_ids = args.experiments
-            for exp_id in exp_ids:
-                try:
-                    get_experiment(exp_id)
-                except KeyError as exc:
-                    print(exc.args[0], file=sys.stderr)
-                    return 2
-        try:
-            if args.adaptive:
-                if args.seeds is not None:
-                    raise ValueError(
-                        "--seeds and --adaptive are mutually exclusive"
-                    )
-                if args.epsilon is None:
-                    raise ValueError("--adaptive requires --epsilon")
+            experiments = _experiments(args.experiments, args.duration,
+                                       args.warmup)
+            if not args.adaptive:
+                policy = FixedSeeds(seeds=tuple(_seeds(args, default="3")))
+            elif args.seeds is not None:
+                raise ValueError("--seeds and --adaptive are mutually exclusive")
+            elif args.epsilon is None:
+                raise ValueError("--adaptive requires --epsilon")
+            else:
                 policy = AdaptiveSeeds(
                     epsilon=args.epsilon, metric=args.metric,
                     min_seeds=args.min_seeds, max_seeds=args.max_seeds,
                     step=args.step, base_seed=args.seed,
                     confidence=args.confidence,
                 )
-            else:
-                seeds = parse_seeds(args.seeds or "3", args.seed, warn=_warn)
-                policy = FixedSeeds(seeds=tuple(seeds))
-            schedule = _load_schedule(args.faults, args.chaos)
-            profile = RunProfile(faults=schedule, queue=args.queue)
             spec = JobSpec(
-                experiments=tuple(exp_ids), policy=policy, profile=profile,
+                experiments=tuple(exp.spec.exp_id for exp in experiments),
+                policy=policy, profile=profile,
                 duration=args.duration, warmup=args.warmup,
                 collect_digests=not args.no_digest,
             )
-        except ValueError as exc:
-            print(f"macaw-sim: {exc}", file=sys.stderr)
-            return 2
 
     cache = ResultCache(args.cache_dir)
     print(f"job {spec.job_id} -> {Path(job_dir) / spec.job_id}/ "
           f"(jobs={args.jobs})")
+    ran = 0
 
-    def on_event(kind: str, payload: dict) -> None:
+    def on_event(kind: str, record: Dict[str, Any]) -> None:
+        nonlocal ran
         if kind == "cell":
-            note = f" ({payload['attempts']} attempts)" \
-                if payload["attempts"] > 1 else ""
-            print(f"  [{payload['done']:>3}] {payload['exp']} "
-                  f"seed {payload['seed']}: {payload['wall_s']:.2f}s"
-                  f"{note}")
+            ran += 1
+            note = f" ({record['attempts']} attempts)" \
+                if record["attempts"] > 1 else ""
+            print(f"  [{ran:>3}] {record['exp']} seed {record['seed']}: "
+                  f"{record['wall_s']:.2f}s{note}")
         elif kind == "stop":
-            print(f"  {payload['exp']}: stopped after {payload['n']} "
-                  f"seeds ({payload['reason']})")
+            print(f"  {record['exp']}: stopped after {record['n']} "
+                  f"seeds ({record['reason']})")
         elif kind == "interrupt":
             print(f"\nmacaw-sim: interrupted — draining "
-                  f"{payload['drain']} in-flight cell(s), journaling; "
+                  f"{record['drain']} in-flight cell(s), journaling; "
                   "^C again to terminate", file=sys.stderr)
 
     started = time.perf_counter()  # repro-lint: allow=REPRO102 (wall-time report)
     try:
-        job = run_job(
-            spec, jobs=args.jobs, job_dir=job_dir, cache=cache,
-            retries=args.retries if args.retries is not None
-            else DEFAULT_RETRIES,
-            backoff_s=args.backoff if args.backoff is not None
-            else DEFAULT_BACKOFF_S,
-            on_event=on_event, stop_after=args.stop_after,
-        )
+        job = run_job(spec, jobs=args.jobs, job_dir=job_dir, cache=cache,
+                      retries=args.retries, backoff_s=args.backoff,
+                      on_event=on_event, stop_after=args.stop_after)
     except KeyboardInterrupt:
-        print("macaw-sim: sweep terminated", file=sys.stderr)
+        _warn("sweep terminated")
         return 130
-    except JournalError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 1
-    except (WorkerDeath, CellFailure) as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 1
     elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
 
     failed = sum(1 for o in job.outcomes if o.failed_checks)
@@ -796,198 +787,218 @@ def _cmd_sweep(argv: List[str]) -> int:
     return 0
 
 
-def _job_journal_summary(job) -> tuple:
-    """(status, completed-cell count) from a job's journal, for --list."""
-    from repro.service import JournalError
-
-    try:
-        records = job.journal().load()
-    except JournalError:
-        return "corrupt", 0
-    cells = sum(1 for r in records if r.get("kind") == "cell")
-    status = "running"
-    for record in reversed(records):
-        if record.get("kind") in ("complete", "interrupted"):
-            status = record["kind"]
-            break
-    return status, cells
-
-
-def _report_metrics(outcomes: list, out_dir: Optional[str],
-                    interval: float) -> None:
-    """Write (or summarize) the metrics series a sweep shipped back."""
-    series_total = sum(
-        len(dump.get("series", [])) for o in outcomes for dump in o.metrics
+def _list_jobs(root: Path) -> int:
+    """``sweep --list``: one line per job under ``root``, read from its
+    spec and journal."""
+    entries = sorted(
+        entry for entry in (root.iterdir() if root.is_dir() else [])
+        if (entry / "spec.json").exists()
     )
-    if out_dir is None:
-        print(f"metrics: {series_total} series collected at {interval:g}s cadence "
-              "(pass --metrics-out DIR to save JSONL)")
-        return
-    from pathlib import Path
-
-    from repro.obs.export import write_jsonl
-
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for outcome in outcomes:
-        if not outcome.metrics:
+    if not entries:
+        print(f"no jobs under {root}/")
+        return 0
+    for entry in entries:
+        try:
+            job = Job.load(entry)
+        except (ValueError, KeyError) as exc:
+            print(f"{entry.name}  (unreadable spec: {exc})")
             continue
-        path = directory / (
-            f"{outcome.cell.exp_id}_seed{outcome.cell.seed}.metrics.jsonl"
+        try:
+            records = job.journal().load()
+        except JournalError:
+            status, cells = "corrupt", 0
+        else:
+            cells = sum(1 for r in records if r.get("kind") == "cell")
+            ends = [r["kind"] for r in records
+                    if r.get("kind") in ("complete", "interrupted")]
+            status = ends[-1] if ends else "running"
+        policy = job.spec.policy.to_dict()
+        policy_text = (
+            f"seeds={len(policy['seeds'])}" if policy["kind"] == "fixed"
+            else f"adaptive eps={policy['epsilon']:g}"
         )
-        write_jsonl(path, outcome.metrics, meta={
-            "exp": outcome.cell.exp_id,
-            "seed": outcome.cell.seed,
-            "duration": outcome.cell.duration,
-            "interval": interval,
-        })
-        written.append(path.name)
-    print(f"metrics: {series_total} series -> {directory}/ "
-          f"({len(written)} files)")
+        print(f"{job.job_id}  {status:<12} {cells:>4} cells  "
+              f"{policy_text:<20} {','.join(job.spec.experiments)}")
+    return 0
+
+
+def _cmd_diff(argv: List[str]) -> int:
+    """Run experiments under the execution-mode matrix; exit 1 with a
+    bisected repro on any digest mismatch."""
+    from repro.verify.diff.bisect import BisectError, locate_first_divergence
+    from repro.verify.diff.fuzz import experiment_repro, write_repro
+    from repro.verify.diff.modes import default_matrix, full_matrix
+    from repro.verify.diff.oracle import DiffOracle
+
+    parser = argparse.ArgumentParser(
+        prog="macaw-sim diff",
+        description="Differential execution oracle: run experiments under "
+        "a matrix of execution modes (queue backend x jobs x "
+        "snapshot-roundtrip x metrics) and require byte-identical "
+        "digests; bisect any mismatch to its first divergent event.",
+    )
+    parser.add_argument(
+        "experiments", nargs="+",
+        help="experiment ids (see 'macaw-sim list'), or 'all'",
+    )
+    _add_seeds(parser)
+    _add_horizon(parser)
+    _add_matrix(parser, out="diff-repro.json")
+    parser.add_argument("--full", action="store_true",
+                        help="full 16-point cross product instead of the "
+                        "baseline-plus-one-axis covering matrix")
+    parser.add_argument("--no-bisect", action="store_true",
+                        help="report digest mismatches without localizing")
+    args = parser.parse_args(argv)
+
+    with _setup():
+        experiments = _experiments(args.experiments, args.duration, args.warmup)
+        queues = _queues(args)
+        oracle = DiffOracle(
+            [exp.spec.exp_id for exp in experiments], seeds=_seeds(args),
+            duration=args.duration, warmup=args.warmup,
+            modes=full_matrix(queues) if args.full else default_matrix(queues),
+        )
+
+    print(f"diff: {len(oracle.cells)} cell(s) x {len(oracle.modes)} mode(s) "
+          f"[{', '.join(mode.label for mode in oracle.modes)}]")
+    report = oracle.check()
+    for mode in report.modes:
+        digests = report.digests[mode.label]
+        print(f"  {mode.label:16} {len([d for d in digests if d])} digest(s)")
+    if report.ok:
+        print("diff: all modes byte-identical")
+        return 0
+
+    for divergence in report.divergences:
+        print(f"diff: DIVERGENCE {divergence.describe()}", file=sys.stderr)
+    first = report.divergences[0]
+    point = None
+    if not args.no_bisect and first.cell is not None:
+        print(f"diff: bisecting {first.cell.exp_id} seed {first.cell.seed} "
+              f"({first.mode_a.label} vs {first.mode_b.label})...")
+        try:
+            point = locate_first_divergence(
+                oracle.replayer(first.cell, first.mode_a),
+                oracle.replayer(first.cell, first.mode_b),
+                first.cell.duration,
+            )
+        except BisectError as exc:
+            print(f"diff: bisection aborted: {exc}", file=sys.stderr)
+        if point is not None:
+            print(f"diff: first divergent event: scenario "
+                  f"{point.scenario_index} seq {point.event_index} "
+                  f"at t={point.time} (horizon {point.horizon:.6f}, "
+                  f"{point.probes} probes)")
+        else:
+            print("diff: divergence did not reproduce in-process "
+                  "(likely jobs-axis only)", file=sys.stderr)
+    payload = experiment_repro(
+        first.cell.exp_id, first.cell.seed, first.cell.duration,
+        first.cell.warmup, oracle.profile, first, point,
+    )
+    out = write_repro(args.out, payload)
+    print(f"diff: repro written to {out}", file=sys.stderr)
+    return 1
+
+
+def _cmd_fuzz(argv: List[str]) -> int:
+    """Run generated scenarios under the mode matrix; exit 1 with a
+    shrunk, bisected repro on the first divergence."""
+    from repro.verify.diff.fuzz import (
+        DEFAULT_CASE_DURATION_S,
+        run_fuzz,
+        write_repro,
+    )
+    from repro.verify.diff.modes import default_matrix
+
+    parser = argparse.ArgumentParser(
+        prog="macaw-sim fuzz",
+        description="Scenario fuzzer: generate random topologies, traffic "
+        "mixes and fault schedules, run each under the execution-mode "
+        "matrix, and shrink + bisect the first divergence.",
+    )
+    parser.add_argument("--budget", type=int, default=25,
+                        help="number of generated cases (default 25)")
+    # Not _add_seeds: a fuzz seed names a case universe and may come
+    # from the CI run id.
+    parser.add_argument(
+        "--seed", default="0", metavar="S|from-run-id",
+        help="fuzz universe seed; 'from-run-id' uses $GITHUB_RUN_ID so "
+        "every CI run explores a fresh slice",
+    )
+    _add_horizon(parser, duration=DEFAULT_CASE_DURATION_S, warmup_flag=False)
+    _add_matrix(parser, out="fuzz-repro.json")
+    parser.add_argument("--no-shrink", action="store_true",
+                        help="skip greedy shrinking of a failing case")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-case progress lines")
+    args = parser.parse_args(argv)
+
+    with _setup():
+        try:
+            seed = int((os.environ.get("GITHUB_RUN_ID") or "0")
+                       if args.seed == "from-run-id" else args.seed)
+        except ValueError:
+            raise ValueError("--seed must be an integer or 'from-run-id', "
+                             f"got {args.seed!r}") from None
+        if args.budget < 1:
+            raise ValueError(f"--budget must be >= 1, got {args.budget}")
+        modes = default_matrix(_queues(args))
+
+    print(f"fuzz: seed {seed}, budget {args.budget}, "
+          f"{args.duration}s cases, modes "
+          f"[{', '.join(mode.label for mode in modes)}]")
+    progress = None if args.quiet else (lambda message: print(f"fuzz: {message}"))
+    failure = run_fuzz(
+        budget=args.budget, seed=seed, duration=args.duration,
+        modes=modes, shrink=not args.no_shrink, progress=progress,
+    )
+    if failure is None:
+        print(f"fuzz: {args.budget} case(s) passed the mode matrix clean")
+        return 0
+
+    print(f"fuzz: DIVERGENCE in case {failure.index}: "
+          f"{failure.divergence.describe()}", file=sys.stderr)
+    print(f"fuzz: shrunk case: {failure.shrunk.describe()}", file=sys.stderr)
+    if failure.point is not None:
+        print(f"fuzz: first divergent event: seq "
+              f"{failure.point.event_index} at t={failure.point.time} "
+              f"(horizon {failure.point.horizon:.6f})", file=sys.stderr)
+    out = write_repro(args.out, failure.repro)
+    print(f"fuzz: repro written to {out}", file=sys.stderr)
+    return 1
+
+
+def _cmd_analyze(argv: List[str]) -> int:
+    from repro.verify.analysis.cli import main as analysis_main
+
+    return analysis_main(argv)
+
+
+#: Subcommand name -> handler; any other first word is the run command.
+_COMMANDS: Dict[str, Callable[[List[str]], int]] = {
+    "verify-trace": _cmd_verify_trace,
+    "chaos": _cmd_chaos,
+    "analyze": _cmd_analyze,
+    "snapshot": _cmd_snapshot,
+    "sweep": _cmd_sweep,
+    "diff": _cmd_diff,
+    "fuzz": _cmd_fuzz,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    if raw and raw[0] == "verify-trace":
-        return _cmd_verify_trace(raw[1:])
-    if raw and raw[0] == "chaos":
-        return _cmd_chaos(raw[1:])
-    if raw and raw[0] == "analyze":
-        from repro.verify.analysis.cli import main as analysis_main
-
-        return analysis_main(raw[1:])
-    if raw and raw[0] == "snapshot":
-        return _cmd_snapshot(raw[1:])
-    if raw and raw[0] == "sweep":
-        return _cmd_sweep(raw[1:])
-    if raw and raw[0] == "diff":
-        from repro.verify.diff.cli import main_diff
-
-        return main_diff(raw[1:])
-    if raw and raw[0] == "fuzz":
-        from repro.verify.diff.cli import main_fuzz
-
-        return main_fuzz(raw[1:])
-
-    args = _build_parser().parse_args(raw)
-
-    if args.experiment == "list":
-        for exp_id in experiment_ids():
-            exp = get_experiment(exp_id)
-            print(f"{exp_id:24} {exp.spec.title}")
-        return 0
-
-    experiments = _resolve_experiments(args.experiment)
-    if experiments is None:
-        return 2
-
+    command = _COMMANDS.get(raw[0]) if raw else None
     try:
-        seeds = parse_seeds(args.seeds, args.seed, warn=_warn)
-    except ValueError as exc:
-        message = str(exc)
-        if "--seeds" not in message:
-            message = f"invalid --seeds value {args.seeds!r}"
-        print(f"macaw-sim: {message}", file=sys.stderr)
+        return command(raw[1:]) if command is not None else _cmd_run(raw)
+    except UsageError as exc:
+        _warn(str(exc))
         return 2
-    if args.jobs < 1:
-        print("macaw-sim: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        metrics_interval = _parse_metrics_interval(args.metrics_interval)
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
-    metrics_on = args.metrics or args.metrics_out is not None
-    try:
-        for exp in experiments:
-            exp.horizon(args.duration, args.warmup)
-        schedule = _load_schedule(args.faults, args.chaos)
-        warm_start = (
-            _parse_warm_start(args.warm_start)
-            if args.warm_start is not None else None
-        )
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
-
-    from repro.core.config import RunProfile
-    from repro.runner import ResultCache, expand_cells
-    from repro.service import CellFailure, WorkerDeath, run_cells
-
-    # The one profile of the invocation: it flows through run_cells into
-    # every cell, serially or into each worker process.
-    try:
-        profile = RunProfile(
-            metrics=metrics_interval if metrics_on else None,
-            faults=schedule,
-            queue=args.queue,
-            warm_start=warm_start,
-        )
-    except ValueError as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
-        return 2
-
-    cache = (
-        ResultCache(args.cache_dir)
-        if (args.cache or args.cache_dir is not None)
-        else None
-    )
-
-    started = time.perf_counter()  # repro-lint: allow=REPRO102 (wall-time report)
-    cells = expand_cells(
-        [exp.spec.exp_id for exp in experiments], seeds,
-        duration=args.duration, warmup=args.warmup,
-    )
-    try:
-        outcomes = run_cells(cells, jobs=args.jobs, cache=cache,
-                             collect_digests=args.digest, profile=profile)
-    except (WorkerDeath, CellFailure) as exc:
-        print(f"macaw-sim: {exc}", file=sys.stderr)
+    except (WorkerDeath, CellFailure, JournalError) as exc:
+        _warn(str(exc))
         return 1
-    elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
-
-    if metrics_on:
-        _report_metrics(outcomes, args.metrics_out, metrics_interval)
-
-    grouped: Dict[str, list] = {}
-    for outcome in outcomes:
-        grouped.setdefault(outcome.cell.exp_id, []).append(outcome)
-
-    all_passed = True
-    for exp in experiments:
-        rows = grouped.get(exp.spec.exp_id, [])
-        if not rows:  # pragma: no cover - run_cells returns every cell
-            continue
-        if len(rows) > 1:
-            sweep = SeedSweepResult(spec=exp.spec, results=[r.result for r in rows])
-            print(sweep.mean_table().render(show_paper=not args.no_paper))
-            rates = sweep.check_pass_rates()
-            for name, rate in rates.items():
-                print(f"  [{rate:4.0%}] {name}")
-            all_passed = all_passed and all(r == 1.0 for r in rates.values())
-        else:
-            result = rows[0].result
-            print(result.table.render(show_paper=not args.no_paper))
-            for name, ok in result.checks.items():
-                print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-            all_passed = all_passed and result.passed
-        if args.digest:
-            for row in rows:
-                print(f"  digest seed {row.cell.seed}: {row.digest}")
-        detail = f"{len(rows)} run{'s' if len(rows) != 1 else ''}"
-        cached = sum(1 for row in rows if row.cached)
-        if cached:
-            detail += f", {cached} cached"
-        first = rows[0].result
-        print(f"  ({first.duration:g}s simulated, seed {rows[0].cell.seed}; {detail})")
-        print()
-
-    summary = f"{len(outcomes)} cells in {elapsed:.1f}s wall (jobs={args.jobs}"
-    if cache is not None:
-        summary += f", cache: {cache.hits} hits / {cache.misses} misses"
-    print(summary + ")")
-    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

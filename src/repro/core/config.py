@@ -38,7 +38,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.obs.runtime import MetricsConfig
@@ -342,55 +342,86 @@ class RunProfile:
         ambient = ambient_profile()
         return ambient if ambient is not None else cls()
 
-    # ------------------------------------------------------------- digest
+    # ------------------------------------------------------ serialization
+    def to_dict(self) -> Dict[str, Any]:
+        """Every field as JSON-safe data; :meth:`from_dict` inverts it.
+
+        ``timing`` serializes through its dataclass fields, ``metrics``
+        through the resolved config, and ``faults`` through the
+        schedule's canonical dict.  This is the form a job spec stores
+        on disk and a repro JSON carries.
+        """
+        timing = None if self.timing is None else {
+            f.name: getattr(self.timing, f.name)
+            for f in fields(self.timing) if f.init
+        }
+        return {
+            "bitrate_bps": self.bitrate_bps,
+            "queue_capacity": self.queue_capacity,
+            "timing": timing,
+            "grid_kwargs": [list(item) for item in self.grid_kwargs],
+            "trace": self.trace,
+            "sanitize": self.sanitize,
+            "metrics": None if self.metrics is None else {
+                "interval": self.metrics.interval,
+                "capacity": self.metrics.capacity,
+            },
+            "faults": None if self.faults is None else self.faults.to_dict(),
+            "queue": self.queue,
+            "warm_start": None if self.warm_start is None else {
+                "at": self.warm_start.at,
+                "store": self.warm_start.store,
+                "digest": self.warm_start.digest,
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "RunProfile":
+        """The profile :meth:`to_dict` serialized."""
+        timing = payload.get("timing")
+        if timing is not None:
+            from repro.mac.timing import MacTiming
+
+            timing = MacTiming(**timing)
+        metrics = payload.get("metrics")
+        faults = payload.get("faults")
+        if faults is not None:
+            from repro.fault.schedule import FaultSchedule
+
+            faults = FaultSchedule.from_dict(faults)
+        warm = payload.get("warm_start")
+        return cls(
+            bitrate_bps=float(payload.get("bitrate_bps", 256_000.0)),
+            queue_capacity=payload.get("queue_capacity"),
+            timing=timing,
+            grid_kwargs=[tuple(item) for item in payload.get("grid_kwargs", [])],
+            trace=bool(payload.get("trace", False)),
+            sanitize=payload.get("sanitize"),
+            metrics=None if metrics is None else MetricsConfig(**metrics),
+            faults=faults,
+            queue=payload.get("queue"),
+            warm_start=None if warm is None else WarmStart(
+                at=float(warm["at"]), store=str(warm["store"]),
+                digest=warm.get("digest"),
+            ),
+        )
+
     def digest(self) -> str:
         """Stable content hash over every result-affecting knob.
 
-        This is what :func:`repro.service.run_cells` folds into cache keys.
-        ``timing`` serializes through its dataclass fields, ``metrics``
-        through the resolved config, and ``faults`` through the
-        schedule's canonical dict — an empty schedule was already
-        normalized to None, so chaos sweeps and plain sweeps share their
-        baseline cache entries.
+        This is what :func:`repro.service.run_cells` folds into cache
+        keys: :meth:`to_dict` minus the warm-start store *path*.  Equal
+        keyed builds produce byte-identical snapshots wherever they are
+        stored; the content digest (when the caller pins one) and the
+        branch time are what distinguish results.  An empty fault
+        schedule was already normalized to None, so chaos sweeps and
+        plain sweeps share their baseline cache entries.
         """
-        if self.timing is None:
-            timing_blob: Any = None
-        elif is_dataclass(self.timing):
-            timing_blob = {
-                f.name: getattr(self.timing, f.name)
-                for f in fields(self.timing) if f.init
-            }
-        else:  # pragma: no cover - defensive for duck-typed timings
-            timing_blob = repr(self.timing)
-        metrics_blob = None if self.metrics is None else {
-            "interval": self.metrics.interval,
-            "capacity": self.metrics.capacity,
-        }
-        blob = json.dumps(
-            {
-                "bitrate_bps": self.bitrate_bps,
-                "queue_capacity": self.queue_capacity,
-                "timing": timing_blob,
-                "grid_kwargs": [list(item) for item in self.grid_kwargs],
-                "trace": self.trace,
-                "sanitize": self.sanitize,
-                "metrics": metrics_blob,
-                "faults": None if self.faults is None else self.faults.to_dict(),
-                "queue": self.queue,
-                # The store *path* is deliberately not digested: equal
-                # keyed builds produce byte-identical snapshots wherever
-                # they are stored.  The content digest (when the caller
-                # pins one) and the branch time are what distinguish
-                # results.
-                "warm_start": None if self.warm_start is None else {
-                    "at": self.warm_start.at,
-                    "digest": self.warm_start.digest,
-                },
-            },
-            sort_keys=True,
-            default=repr,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        blob = self.to_dict()
+        if blob["warm_start"] is not None:
+            del blob["warm_start"]["store"]
+        text = json.dumps(blob, sort_keys=True, default=repr)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 #: Profile of the innermost active :func:`active_profile` block, if any.

@@ -45,8 +45,9 @@ class ExperimentResult:
         """True when every qualitative check holds."""
         return all(self.checks.values())
 
-    def render(self) -> str:
-        lines = [self.table.render()]
+    def render(self, show_paper: bool = True) -> str:
+        """The table, then one PASS/FAIL line per check."""
+        lines = [self.table.render(show_paper=show_paper)]
         if self.checks:
             lines.append("")
             for name, ok in self.checks.items():
@@ -186,9 +187,14 @@ class SeedSweepResult:
             rates[name] = passed / len(self.results)
         return rates
 
-    def render(self) -> str:
-        lines = [self.mean_table().render()]
-        lines.append("")
+    @property
+    def passed(self) -> bool:
+        """True when every check held on every seed."""
+        return all(rate == 1.0 for rate in self.check_pass_rates().values())
+
+    def render(self, show_paper: bool = True) -> str:
+        """The mean table, then one pass-rate line per check."""
+        lines = [self.mean_table().render(show_paper=show_paper), ""]
         for name, rate in self.check_pass_rates().items():
             lines.append(f"  [{rate:4.0%}] {name}")
         return "\n".join(lines)

@@ -97,14 +97,19 @@ def parse_seeds(spec: str, base: int,
     and pass rates, so duplicates are dropped and ``warn`` receives one
     message saying so.  Raises ValueError on a malformed value.
     """
-    if "," in spec:
+    try:
         seeds = [int(item) for item in spec.split(",") if item.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ValueError(f"invalid --seeds value {spec!r}")
+    if "," in spec:
         unique = list(dict.fromkeys(seeds))
         if len(unique) != len(seeds):
             warn(f"--seeds list {spec!r} contains duplicates; "
                  f"running each seed once ({len(unique)} unique)")
         return unique
-    count = int(spec)
+    count = seeds[0]
     if count < 1:
         raise ValueError(f"--seeds count must be >= 1, got {count}")
     return list(range(base, base + count))

@@ -10,10 +10,11 @@ on worker death.  The rest of the layer turns grids into durable
   (experiments × :class:`~repro.service.policy.SeedPolicy` ×
   :class:`~repro.core.config.RunProfile` × bounds);
 * :class:`Journal` — the append-only, digest-chained JSONL record of
-  completed cells that makes ``macaw-sim sweep --resume`` replay
-  instantly and continue byte-identically;
-* :func:`run_job` / :func:`resume_job` — the orchestrator tying them
-  together, with graceful SIGINT drain.
+  completed cells, a job's one record: it makes ``macaw-sim sweep
+  --resume`` replay instantly and continue byte-identically, and its
+  records are the live progress events;
+* :func:`run_job` — the orchestrator tying them together, with graceful
+  SIGINT drain.  Calling it again with an equal spec resumes the job.
 
 Most callers want the :mod:`repro.api` facade (``sweep()``,
 ``run_cells()``); this package is the engine underneath.
@@ -24,8 +25,6 @@ from repro.service.job import (
     Job,
     JobSpec,
     find_job,
-    profile_from_dict,
-    profile_to_dict,
 )
 from repro.service.journal import (
     Journal,
@@ -33,7 +32,7 @@ from repro.service.journal import (
     chain_hash,
     digest_set_hash,
 )
-from repro.service.orchestrator import resume_job, run_job
+from repro.service.orchestrator import run_job
 from repro.service.policy import (
     AdaptiveSeeds,
     FixedSeeds,
@@ -74,9 +73,6 @@ __all__ = [
     "digest_set_hash",
     "find_job",
     "policy_from_dict",
-    "profile_from_dict",
-    "profile_to_dict",
-    "resume_job",
     "run_cells",
     "run_job",
     "t_critical",

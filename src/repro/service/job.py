@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.config import RunProfile, WarmStart
+from repro.core.config import RunProfile
 from repro.experiments.registry import get_experiment
-from repro.obs.runtime import MetricsConfig
 from repro.runner.cells import CellResult
 from repro.service.journal import Journal, digest_set_hash
 from repro.service.policy import SeedPolicy, policy_from_dict
@@ -34,86 +33,12 @@ __all__ = [
     "Job",
     "JobSpec",
     "find_job",
-    "profile_from_dict",
-    "profile_to_dict",
 ]
 
 PathLike = Union[str, Path]
 
 #: Default directory sweep jobs live under (sibling of .macaw_cache).
 DEFAULT_JOB_DIR = ".macaw_jobs"
-
-
-# ------------------------------------------------------------------ profile
-def profile_to_dict(profile: RunProfile) -> Dict[str, Any]:
-    """A JSON-safe dict capturing every field of ``profile``.
-
-    Unlike :meth:`RunProfile.digest` (a one-way hash), this round-trips:
-    :func:`profile_from_dict` reconstructs an equal profile, which is
-    what lets a job spec live on disk across processes.
-    """
-    if profile.timing is None:
-        timing: Optional[Dict[str, Any]] = None
-    else:
-        timing = {
-            f.name: getattr(profile.timing, f.name)
-            for f in fields(profile.timing) if f.init
-        }
-    metrics = None if profile.metrics is None else {
-        "interval": profile.metrics.interval,
-        "capacity": profile.metrics.capacity,
-    }
-    return {
-        "bitrate_bps": profile.bitrate_bps,
-        "queue_capacity": profile.queue_capacity,
-        "timing": timing,
-        "grid_kwargs": [list(item) for item in profile.grid_kwargs],
-        "trace": profile.trace,
-        "sanitize": profile.sanitize,
-        "metrics": metrics,
-        "faults": None if profile.faults is None else profile.faults.to_dict(),
-        "queue": profile.queue,
-        "warm_start": None if profile.warm_start is None else {
-            "at": profile.warm_start.at,
-            "store": profile.warm_start.store,
-            "digest": profile.warm_start.digest,
-        },
-    }
-
-
-def profile_from_dict(payload: Mapping[str, Any]) -> RunProfile:
-    """Inverse of :func:`profile_to_dict`."""
-    timing = payload.get("timing")
-    if timing is not None:
-        from repro.mac.timing import MacTiming
-
-        timing = MacTiming(**timing)
-    metrics = payload.get("metrics")
-    if isinstance(metrics, Mapping):
-        metrics = MetricsConfig(**metrics)
-    faults = payload.get("faults")
-    if faults is not None:
-        from repro.fault.schedule import FaultSchedule
-
-        faults = FaultSchedule.from_dict(faults)
-    warm = payload.get("warm_start")
-    if warm is not None:
-        warm = WarmStart(
-            at=float(warm["at"]), store=str(warm["store"]),
-            digest=warm.get("digest"),
-        )
-    return RunProfile(
-        bitrate_bps=float(payload.get("bitrate_bps", 256_000.0)),
-        queue_capacity=payload.get("queue_capacity"),
-        timing=timing,
-        grid_kwargs=[tuple(item) for item in payload.get("grid_kwargs", [])],
-        trace=bool(payload.get("trace", False)),
-        sanitize=payload.get("sanitize"),
-        metrics=metrics,
-        faults=faults,
-        queue=payload.get("queue"),
-        warm_start=warm,
-    )
 
 
 # -------------------------------------------------------------------- spec
@@ -156,7 +81,7 @@ class JobSpec:
             "schema": 1,
             "experiments": list(self.experiments),
             "policy": self.policy.to_dict(),
-            "profile": profile_to_dict(self.profile),
+            "profile": self.profile.to_dict(),
             "duration": self.duration,
             "warmup": self.warmup,
             "collect_digests": self.collect_digests,
@@ -167,7 +92,7 @@ class JobSpec:
         return cls(
             experiments=tuple(payload["experiments"]),
             policy=policy_from_dict(payload["policy"]),
-            profile=profile_from_dict(payload["profile"]),
+            profile=RunProfile.from_dict(payload["profile"]),
             duration=payload.get("duration"),
             warmup=payload.get("warmup"),
             collect_digests=bool(payload.get("collect_digests", True)),
@@ -220,10 +145,6 @@ class Job:
     @property
     def spec_path(self) -> Path:
         return self.directory / "spec.json"
-
-    @property
-    def progress_path(self) -> Path:
-        return self.directory / "progress.jsonl"
 
     def journal(self) -> Journal:
         return Journal(self.journal_path)

@@ -24,16 +24,17 @@ One call to :func:`run_job` drives a whole campaign:
    record and returns a job in ``interrupted`` state; the CLI maps that
    to exit 130.  A second ^C terminates in-flight cells immediately.
 
-Progress streams to ``<job>/progress.jsonl`` (one JSON line per event:
-cell completions with wall-clock timing, retries, stops), mirroring the
-:mod:`repro.obs` JSONL conventions for offline analysis.
+The journal is the job's one record: every record ``run_job`` appends
+(the ``job`` header, each ``cell`` with its wall time and attempts,
+``stop``, ``interrupted``, ``complete``) also goes to ``on_event`` as
+:meth:`~repro.service.journal.Journal.append` returns it, which is all
+a live progress display needs.  The one event that is not journaled is
+the ``interrupt`` notice sent when ^C starts a drain.
 """
 
 from __future__ import annotations
 
-import json
 import signal
-import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -48,30 +49,14 @@ from repro.service.scheduler import (
     CellScheduler,
 )
 
-__all__ = ["run_job", "resume_job"]
+__all__ = ["run_job"]
 
 PathLike = Union[str, Path]
 
-#: ``on_event`` callback: (kind, payload) — the CLI renders these.
+#: ``on_event`` callback: (kind, journal record) — the CLI renders these.
 EventFn = Callable[[str, Dict[str, Any]], None]
 
 CellKey = Tuple[str, int]
-
-
-class _Progress:
-    """Append-only progress/timing stream beside the journal."""
-
-    def __init__(self, path: Path, on_event: Optional[EventFn]) -> None:
-        self._path = path
-        self._on_event = on_event
-        path.parent.mkdir(parents=True, exist_ok=True)
-
-    def emit(self, kind: str, **payload: Any) -> None:
-        record = {"kind": kind, "t_wall": round(time.time(), 3), **payload}  # repro-lint: allow=REPRO102 (progress timestamps)
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-        if self._on_event is not None:
-            self._on_event(kind, record)
 
 
 class _ConfigState:
@@ -127,7 +112,9 @@ def run_job(
         Worker-death retry budget and backoff base (see
         :class:`~repro.service.scheduler.CellScheduler`).
     on_event:
-        Optional live-progress callback ``(kind, payload)``.
+        Optional live-progress callback ``(kind, record)``: each journal
+        record as it is appended, plus ``("interrupt", {"drain": n})``
+        when ^C starts draining ``n`` in-flight cells.
     stop_after:
         Stop scheduling after this many *fresh* cell executions and
         return an interrupted job — deterministic interruption for tests
@@ -148,7 +135,11 @@ def run_job(
         cache = ResultCache()
     config = profile_hash(spec.profile, spec.collect_digests)
     journal = job.journal()
-    progress = _Progress(job.progress_path, on_event)
+
+    def append(record: Dict[str, Any]) -> None:
+        linked = journal.append(record)
+        if on_event is not None:
+            on_event(record["kind"], linked)
 
     # ------------------------------------------------------------- replay
     records = journal.load()
@@ -171,7 +162,7 @@ def run_job(
             if record.get("kind") == "cell":
                 journaled[(record["exp"], int(record["seed"]))] = record
     else:
-        journal.append({
+        append({
             "kind": "job", "schema": 1, "job_id": spec.job_id,
             "spec": spec.to_dict(), "code": code_version(),
         })
@@ -190,7 +181,8 @@ def run_job(
             scheduler.close(terminate=True)
             raise KeyboardInterrupt
         interrupted["flag"] = True
-        progress.emit("interrupt", drain=scheduler.in_flight)
+        if on_event is not None:
+            on_event("interrupt", {"drain": scheduler.in_flight})
 
     def record_done(state: _ConfigState, seed: int, outcome: CellResult,
                     attempts: int, from_cache: bool) -> None:
@@ -206,7 +198,7 @@ def run_job(
             job.replayed += 1
             return
         job.executed += 1
-        journal.append({
+        append({
             "kind": "cell", "exp": state.exp_id, "seed": seed,
             "duration": outcome.cell.duration, "warmup": outcome.cell.warmup,
             "digest": outcome.digest, "metric": metric,
@@ -214,11 +206,6 @@ def run_job(
             "cached": outcome.cached,
             "failed_checks": list(outcome.failed_checks),
         })
-        progress.emit(
-            "cell", exp=state.exp_id, seed=seed,
-            wall_s=round(outcome.wall_s, 4), attempts=attempts,
-            done=job.executed + job.replayed,
-        )
 
     def feed(state: _ConfigState) -> None:
         """Submit every allocated-but-unstarted cell of one experiment."""
@@ -245,13 +232,11 @@ def run_job(
                 series = state.metric_series()
                 reason = spec.policy.stop_reason(series)
                 half = getattr(spec.policy, "half_width", lambda _: None)(series)
-                journal.append({
+                append({
                     "kind": "stop", "exp": state.exp_id,
                     "n": len(state.allocated), "reason": reason,
                     "half_width": half if half != float("inf") else None,
                 })
-                progress.emit("stop", exp=state.exp_id,
-                              n=len(state.allocated), reason=reason)
                 return
             state.allocated.extend(more)
             feed(state)
@@ -289,7 +274,7 @@ def run_job(
     open_configs = [s for s in configs.values() if not s.closed]
     if open_configs:
         job.status = "interrupted"
-        journal.append({
+        append({
             "kind": "interrupted",
             "done": job.executed + job.replayed,
             "open": sorted(s.exp_id for s in open_configs),
@@ -310,36 +295,13 @@ def run_job(
                 "reason": spec.policy.stop_reason(series),
             }
     if job.status == "complete":
-        journal.append({
+        append({
             "kind": "complete", "cells": len(job.outcomes),
             "digest_set": job.digest_set(),
         })
-        progress.emit("complete", cells=len(job.outcomes),
-                      digest_set=job.digest_set())
     return job
 
 
 def _metric_spec(spec: JobSpec) -> str:
     """The stopping metric the spec's policy targets ("total" for fixed)."""
     return getattr(spec.policy, "metric", "total")
-
-
-def resume_job(
-    job: Job,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    retries: int = DEFAULT_RETRIES,
-    backoff_s: float = DEFAULT_BACKOFF_S,
-    on_event: Optional[EventFn] = None,
-    stop_after: Optional[int] = None,
-) -> Job:
-    """Continue a previously created job from its journal.
-
-    Thin wrapper: :func:`run_job` with the job's own spec and directory
-    root — replay is automatic.
-    """
-    return run_job(
-        job.spec, jobs=jobs, job_dir=job.directory.parent, cache=cache,
-        retries=retries, backoff_s=backoff_s, on_event=on_event,
-        stop_after=stop_after,
-    )

@@ -19,6 +19,11 @@ independent seeded universe, so arrival order never affects results.
 ``jobs=1`` executes inline in the calling process: no subprocesses, no
 retry machinery (there is no worker to die), identical results, and an
 in-cell exception propagates unchanged.
+
+:func:`run_in_worker` runs one arbitrary call through the same worker
+body, for work that is not a cell (the differential oracle's jobs axis
+on a generated scenario); it raises the same two errors and never
+retries.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunProfile
 from repro.runner.cache import ResultCache, profile_hash
@@ -46,6 +51,7 @@ __all__ = [
     "Reaped",
     "WorkerDeath",
     "run_cells",
+    "run_in_worker",
     "worker_context",
 ]
 
@@ -75,11 +81,9 @@ class CellFailure(RuntimeError):
     """A cell raised inside the experiment (deterministic; not retried)."""
 
 
-def _child_main(
-    conn: Any, cell: Cell, collect_digest: bool, profile: RunProfile,
-    attempt: int,
-) -> None:
-    """Worker body: run one cell, ship the result, exit.
+def _child_main(conn: Any, attempt: int, work: Callable[..., Any],
+                *args: Any) -> None:
+    """Worker body: run ``work(*args)`` (one cell), ship the result, exit.
 
     SIGINT is ignored so a terminal ^C (delivered to the whole process
     group) interrupts only the *scheduler*, which then drains in-flight
@@ -88,7 +92,7 @@ def _child_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.environ[ATTEMPT_ENV] = str(attempt)
     try:
-        result = execute_cell(cell, collect_digest, profile)
+        result = work(*args)
     except BaseException as exc:  # deterministic failure: report, don't die
         import traceback
 
@@ -98,6 +102,38 @@ def _child_main(
         return
     conn.send(("ok", result))
     conn.close()
+
+
+def run_in_worker(work: Callable[..., Any], *args: Any, label: str) -> Any:
+    """``work(*args)`` in one worker process, through the cell body.
+
+    For one-off runs that must cross the same process boundary as a
+    scheduled cell.  Raises :class:`WorkerDeath` when the worker exits
+    without a result (no retry) and :class:`CellFailure` when ``work``
+    raises; ``label`` names the work in both messages.
+    """
+    ctx = worker_context()
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_child_main,
+                          args=(child_conn, 1, work, *args), daemon=True)
+    process.start()
+    child_conn.close()
+    try:
+        kind, value = parent_conn.recv()
+    except EOFError:
+        kind, value = "died", None
+    except BaseException:
+        process.terminate()
+        raise
+    finally:
+        parent_conn.close()
+        process.join()
+    if kind == "died":
+        raise WorkerDeath(f"worker for {label} died (exit code "
+                          f"{process.exitcode}) without a result")
+    if kind == "error":
+        raise CellFailure(f"{label} failed deterministically:\n{value}")
+    return value
 
 
 @dataclass
@@ -235,8 +271,8 @@ class CellScheduler:
             parent_conn, child_conn = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
                 target=_child_main,
-                args=(child_conn, task.cell, self.collect_digests,
-                      self.profile, task.attempt),
+                args=(child_conn, task.attempt, execute_cell, task.cell,
+                      self.collect_digests, self.profile),
                 daemon=True,
             )
             process.start()

@@ -2,7 +2,7 @@
 
 The repo's central correctness claim is that a run's ``Trace.digest()``
 is byte-identical across every *execution mode*: heap vs wheel event
-queues, serial vs pooled workers, snapshot-restore vs straight-through,
+queues, serial vs worker processes, snapshot-restore vs straight-through,
 metrics instrumentation on or off.  Each mode is supposed to be a pure
 performance/observability knob — when one of them leaks into the event
 stream (PR 6's mid-reschedule compaction bug), results silently change
@@ -22,9 +22,11 @@ This package is the machine that finds such bugs first:
   feeds them to the oracle, and greedily shrinks failures
   (:mod:`~repro.verify.diff.shrink`).
 
-Like the CLI, this sits *above* the stack — it orchestrates experiments,
-the runner and the snapshot subsystem, so it is exempt from the
-``verify`` layer's usual import surface (see
+The package is the library only: ``macaw-sim diff`` and ``macaw-sim
+fuzz`` are parsed in :mod:`repro.cli` with the other subcommands.  Like
+the CLI, it sits *above* the stack — it orchestrates experiments, the
+runner and the snapshot subsystem, so it is exempt from the ``verify``
+layer's usual import surface (see
 ``repro.verify.analysis.layers.SUBTREE_ALLOWED_IMPORTS``).  The
 ``fuzz:*`` substream namespace is reserved for this package; analyzer
 rule REPRO116 keeps generation randomness out of the protocol stack.

@@ -258,12 +258,10 @@ class FuzzFailure:
 def _build_repro(kind: str, subject: Dict[str, Any], profile: RunProfile,
                  divergence: CellDivergence,
                  point: Optional[DivergencePoint]) -> Dict[str, Any]:
-    from repro.service.job import profile_to_dict
-
     payload: Dict[str, Any] = {
         "schema": REPRO_SCHEMA,
         "kind": kind,
-        "profile": profile_to_dict(profile),
+        "profile": profile.to_dict(),
         "mode_a": divergence.mode_a.to_dict(),
         "mode_b": divergence.mode_b.to_dict(),
         "digest_a": divergence.digest_a,
@@ -321,13 +319,11 @@ def replay_repro(payload: Mapping[str, Any]) -> Optional[DivergencePoint]:
     Returns the freshly-bisected divergence point, or None when the two
     configurations now agree (i.e. the bug is fixed).
     """
-    from repro.service.job import profile_from_dict
-
     if payload.get("kind") != "scenario":
         raise ValueError("replay_repro handles scenario repros; use "
                          "DiffOracle for experiment repros")
     case = FuzzScenario.from_dict(payload["scenario"])
-    profile = profile_from_dict(payload["profile"])
+    profile = RunProfile.from_dict(payload["profile"])
     mode_a = ExecMode.from_dict(payload["mode_a"])
     mode_b = ExecMode.from_dict(payload["mode_b"])
     oracle = ScenarioOracle(modes=[mode_a, mode_b], profile=profile)

@@ -22,13 +22,12 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.config import RunProfile, WarmStart
 from repro.experiments.registry import get_experiment
 from repro.runner.cells import Cell, expand_cells
-from repro.service.job import profile_from_dict, profile_to_dict
-from repro.service.scheduler import run_cells, worker_context
+from repro.service.scheduler import run_cells, run_in_worker
 from repro.snapshot import Snapshot
 from repro.topo.builder import ScenarioRun, capturing
 from repro.verify.diff.bisect import Replay
@@ -194,9 +193,11 @@ def _run_experiment(exp_id: str, seed: int, horizon: float,
 class ScenarioOracle:
     """Differential oracle over one directly-built scenario case.
 
-    ``case`` is anything with ``build_builder(profile) -> ScenarioBuilder``,
-    a ``duration`` attribute and (for the jobs axis) ``to_dict`` /
-    ``from_dict`` — i.e. :class:`repro.verify.diff.fuzz.FuzzScenario`.
+    ``case`` is anything with ``build_builder(profile) -> ScenarioBuilder``
+    and a ``duration`` attribute — i.e.
+    :class:`repro.verify.diff.fuzz.FuzzScenario`.  The jobs axis runs it
+    in a worker process (:func:`~repro.service.scheduler.run_in_worker`),
+    so under the spawn start method it must also pickle.
     """
 
     def __init__(
@@ -217,7 +218,10 @@ class ScenarioOracle:
         """Run ``case`` under ``mode`` up to ``horizon`` (default: full)."""
         duration = float(horizon if horizon is not None else case.duration)
         if mode.jobs > 1:
-            return _case_in_subprocess(case, mode, self.profile, duration, traced)
+            # The jobs axis: the process boundary a scheduled cell crosses.
+            return run_in_worker(_run_case, case, mode, self.profile,
+                                 duration, traced,
+                                 label=f"scenario case ({mode.label})")
         return _run_case(case, mode, self.profile, duration, traced)
 
     def check(self, case: Any) -> Optional[CellDivergence]:
@@ -268,33 +272,3 @@ def _run_case(case: Any, mode: ExecMode, profile: RunProfile,
         digest=scenario.sim.trace.digest(),
         records=list(scenario.sim.trace) if traced else None,
     )
-
-
-def _case_worker(payload: Tuple[dict, dict, dict, float, bool]) -> ScenarioRun:
-    """Pool entry point: rebuild the case and run it in this worker."""
-    from repro.verify.diff.fuzz import FuzzScenario
-
-    case_dict, mode_dict, profile_dict, duration, traced = payload
-    return _run_case(
-        FuzzScenario.from_dict(case_dict),
-        ExecMode.from_dict(mode_dict),
-        profile_from_dict(profile_dict),
-        duration,
-        traced,
-    )
-
-
-def _case_in_subprocess(case: Any, mode: ExecMode, profile: RunProfile,
-                        duration: float, traced: bool) -> ScenarioRun:
-    """The jobs axis at scenario granularity: one run in a pool worker.
-
-    Exercises the same process boundary the cell scheduler's workers
-    cross (:func:`~repro.service.scheduler.worker_context`: fork where
-    available, spawn otherwise).
-    """
-    payload = (
-        case.to_dict(), mode.to_dict(), profile_to_dict(profile),
-        duration, traced,
-    )
-    with worker_context().Pool(processes=1) as pool:
-        return pool.apply(_case_worker, (payload,))

@@ -78,6 +78,49 @@ def test_digest_is_stable_and_knob_sensitive():
     assert RunProfile().digest() != RunProfile(queue_capacity=8).digest()
 
 
+def _pinned_profiles():
+    """Profiles whose digests key existing caches and job ids.
+
+    ``queue`` and ``sanitize`` are explicit so ``REPRO_QUEUE`` and
+    ``REPRO_SANITIZE`` cannot change what is pinned.
+    """
+    from repro.fault.presets import get_preset
+    from repro.mac.timing import MacTiming
+
+    return [
+        (RunProfile(queue="heap", sanitize=False),
+         "9b5272080ab51dc41465b7339817d722d41ff7b258b442babd810c066a321ca4"),
+        (RunProfile(queue="heap", sanitize=True, trace=True, metrics=1.0,
+                    faults=get_preset("churn-light")),
+         "887d8c9af08b9c09c8669feb12369e7d98653d13a5dff070eb4411a598e6f814"),
+        (RunProfile(queue="wheel:0.01", sanitize=False,
+                    timing=MacTiming(margin_slots=2.0),
+                    grid_kwargs={"capture_db": 6.0,
+                                 "rx_threshold_distance_ft": 12.0},
+                    warm_start=WarmStart(at=40.0, store="snaps",
+                                         digest="0" * 16)),
+         "e8b27772efc2e20bfd4f0f3bcde9a392859fe2e32f2fb63d2c655942e2149dd6"),
+    ]
+
+
+def test_digest_bytes_are_pinned():
+    for profile, digest in _pinned_profiles():
+        assert profile.digest() == digest, profile
+    # The store path is not digested: where a snapshot lives does not
+    # change what restoring it produces.
+    moved = _pinned_profiles()[2][0]
+    moved = moved.but(warm_start=WarmStart(at=40.0, store="elsewhere",
+                                           digest="0" * 16))
+    assert moved.digest() == _pinned_profiles()[2][1]
+
+
+def test_dict_round_trip():
+    for profile, _ in _pinned_profiles():
+        clone = RunProfile.from_dict(profile.to_dict())
+        assert clone == profile
+        assert clone.to_dict() == profile.to_dict()
+
+
 def test_empty_schedule_digest_equals_no_schedule():
     assert RunProfile(faults=FaultSchedule.empty()).digest() == RunProfile().digest()
     flap = FaultSchedule((LinkFlap("A", "B", 1.0, 2.0),))

@@ -6,7 +6,6 @@ table runs needed to exercise scheduling, journaling, and retry.
 """
 
 import os
-import signal
 from typing import Dict
 
 import pytest
@@ -130,21 +129,3 @@ def fake_experiments():
         for cls in _FAKES:
             registry._FACTORIES.pop(cls.spec.exp_id, None)
 
-
-@pytest.fixture
-def deadline():
-    """Fail a test that outlives 60 s instead of letting it hang.
-
-    For calls whose failure mode is a hang (a worker pool waiting on a
-    dead worker forever): SIGALRM interrupts the blocked wait.
-    """
-    def expire(signum, frame):
-        raise TimeoutError("test still running after its 60 s deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)

@@ -71,7 +71,6 @@ def test_job_layout_and_spec_file(tmp_path):
     job.write_spec()
     assert job.spec_path.exists()
     assert job.journal_path.name == "journal.jsonl"
-    assert job.progress_path.name == "progress.jsonl"
     loaded = Job.load(job.directory)
     assert loaded.spec == spec
 

@@ -16,7 +16,6 @@ from repro.service import (
     JournalError,
     WorkerDeath,
     ci_half_width,
-    resume_job,
     run_job,
 )
 
@@ -92,7 +91,8 @@ def test_interrupt_resume_digest_set_byte_equal(
         # Inline execution halts deterministically: 2 cells journaled.
         assert partial.status == "interrupted"
         assert partial.executed == 2
-    resumed = resume_job(partial, jobs=jobs, cache=cache)
+    resumed = run_job(spec, jobs=jobs, job_dir=tmp_path / "jobs-int",
+                      cache=cache)
     assert resumed.status == "complete"
     assert len(resumed.outcomes) == 4
     assert resumed.digest_set() == reference.digest_set()
@@ -110,7 +110,8 @@ def test_resume_after_cache_wipe_reexecutes(fake_experiments, tmp_path):
     reference = _run(spec, tmp_path, tag="ref")
     # The journal names the finished cells, but the cache that held their
     # full results is gone: resume re-executes and stays byte-identical.
-    resumed = resume_job(partial, cache=ResultCache(str(tmp_path / "c2")))
+    resumed = run_job(spec, job_dir=tmp_path / "jobs",
+                      cache=ResultCache(str(tmp_path / "c2")))
     assert resumed.status == "complete"
     assert resumed.digest_set() == reference.digest_set()
 
@@ -192,7 +193,8 @@ def test_resume_rejects_tampered_journal(fake_experiments, tmp_path):
     lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     job.journal_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(JournalError):
-        resume_job(job, cache=ResultCache(str(tmp_path / "cache-a")))
+        run_job(spec, job_dir=tmp_path / "jobs-a",
+                cache=ResultCache(str(tmp_path / "cache-a")))
 
 
 def test_foreign_journal_rejected(fake_experiments, tmp_path):
@@ -216,14 +218,14 @@ def test_no_digest_mode_completes(fake_experiments, tmp_path):
     assert all(o.digest is None for o in job.outcomes)
 
 
-def test_progress_stream_written(fake_experiments, tmp_path):
-    import json
-
+def test_on_event_sees_every_journal_record(fake_experiments, tmp_path):
     events = []
     job = _run(_spec(), tmp_path,
-               on_event=lambda kind, payload: events.append(kind))
-    assert events.count("cell") == 2
-    lines = job.progress_path.read_text().splitlines()
-    kinds = [json.loads(line)["kind"] for line in lines]
-    assert kinds.count("cell") == 2
-    assert all("t_wall" in json.loads(line) for line in lines)
+               on_event=lambda kind, record: events.append((kind, record)))
+    # The journal is the one record: each event is a journaled record,
+    # chain link included, and nothing else is written beside it.
+    assert events == [(r["kind"], r) for r in job.journal().load()]
+    assert [kind for kind, _ in events] == [
+        "job", "cell", "cell", "stop", "complete"]
+    assert sorted(p.name for p in job.directory.iterdir()) == [
+        "journal.jsonl", "spec.json"]

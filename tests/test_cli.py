@@ -105,6 +105,8 @@ def test_invalid_seeds_value_returns_2(capsys):
     assert main(["table9", "--seeds", "zero"]) == 2
     assert "invalid --seeds value" in capsys.readouterr().err
     assert main(["table9", "--seeds", "0"]) == 2
+    # An empty list would run no cell and report success.
+    assert main(["table9", "--seeds", ","]) == 2
 
 
 def _usage_error_line(capsys):

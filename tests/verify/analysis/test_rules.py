@@ -437,9 +437,9 @@ def test_repro116_diff_subtree_and_other_namespaces_clean():
 
 def test_repro110_diff_subtree_may_import_the_whole_tree():
     src = ("from repro.service.scheduler import run_cells\n"
-           "from repro.service.job import profile_to_dict\n"
+           "from repro.service.job import JobSpec\n"
            "from repro.snapshot import Snapshot\n"
-           "x = (run_cells, profile_to_dict, Snapshot)\n")
+           "x = (run_cells, JobSpec, Snapshot)\n")
     assert "REPRO110" not in codes(src, path="repro/verify/diff/oracle.py")
     # The rest of verify keeps its narrow surface.
     outside = ("from repro.service.scheduler import run_cells\n"

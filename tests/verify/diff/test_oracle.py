@@ -1,8 +1,12 @@
 """The oracle passes clean on stock backends, at both granularities."""
 
+import os
+
 import pytest
 
-from repro.verify.diff.fuzz import FuzzScenario
+from repro.service import CellFailure, WorkerDeath
+from repro.verify.diff import oracle as oracle_module
+from repro.verify.diff.fuzz import FuzzScenario, generate_case
 from repro.verify.diff.modes import ExecMode, default_matrix
 from repro.verify.diff.oracle import DiffOracle, ScenarioOracle
 
@@ -16,7 +20,7 @@ def _case() -> FuzzScenario:
 
 
 def test_scenario_oracle_mode_matrix_clean_on_stock_backends():
-    # Covers every axis: wheel queue, a pool worker, a genuine snapshot
+    # Covers every axis: wheel queue, a worker process, a genuine snapshot
     # capture/restore roundtrip, and metrics collection.
     oracle = ScenarioOracle(modes=default_matrix())
     assert oracle.check(_case()) is None
@@ -49,3 +53,25 @@ def test_oracles_require_two_modes():
         DiffOracle(["table2"], modes=[ExecMode()])
     with pytest.raises(ValueError):
         ScenarioOracle(modes=[ExecMode()])
+
+
+def test_scenario_oracle_worker_death_raises(monkeypatch, deadline):
+    # The jobs axis runs the case in a worker process; one that dies
+    # without a result must raise, not leave the parent waiting forever.
+    def die(*args):
+        os._exit(3)
+
+    monkeypatch.setattr(oracle_module, "_run_case", die)
+    with pytest.raises(WorkerDeath, match="exit code 3"):
+        ScenarioOracle().run_case(generate_case(1, 0, duration=4.0),
+                                  ExecMode(jobs=2))
+
+
+def test_scenario_oracle_case_failure_raises(monkeypatch, deadline):
+    def fail(*args):
+        raise RuntimeError("deliberate case failure")
+
+    monkeypatch.setattr(oracle_module, "_run_case", fail)
+    with pytest.raises(CellFailure, match="deliberate case failure"):
+        ScenarioOracle().run_case(generate_case(1, 0, duration=4.0),
+                                  ExecMode(jobs=2))

@@ -28,35 +28,36 @@ should start here.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Union
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Union
 
-from repro.analysis import (
-    ComparisonTable,
-    channel_utilization,
-    format_table,
-    jain_fairness,
-    throughput_timeseries,
-)
-from repro.core import MacawMac, ProtocolConfig
-from repro.core.config import (
-    RunProfile,
-    WarmStart,
-    active_profile,
-    maca_config,
-    macaw_config,
-)
-from repro.experiments.base import Experiment, ExperimentResult
-from repro.experiments.registry import experiment_ids, get_experiment
-from repro.fault import FaultSchedule
-from repro.mac import CsmaConfig, MacTiming
-from repro.runner import Cell, CellResult, ResultCache, expand_cells
-from repro.service.job import DEFAULT_JOB_DIR, Job, JobSpec
-from repro.service.orchestrator import run_job
-from repro.service.policy import AdaptiveSeeds, FixedSeeds, SeedPolicy
-from repro.service.scheduler import run_cells
-from repro.snapshot import Snapshot, fork
-from repro.topo import Scenario, ScenarioBuilder, Station
-from repro.topo import figures
+if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
+    from repro.analysis import (
+        ComparisonTable,
+        channel_utilization,
+        format_table,
+        jain_fairness,
+        throughput_timeseries,
+    )
+    from repro.core import MacawMac, ProtocolConfig
+    from repro.core.config import (
+        RunProfile,
+        WarmStart,
+        active_profile,
+        maca_config,
+        macaw_config,
+    )
+    from repro.experiments.base import Experiment, ExperimentResult
+    from repro.experiments.registry import experiment_ids
+    from repro.fault import FaultSchedule
+    from repro.mac import CsmaConfig, MacTiming
+    from repro.runner import Cell, CellResult, ResultCache, expand_cells
+    from repro.service.job import Job, JobSpec
+    from repro.service.policy import AdaptiveSeeds, FixedSeeds, SeedPolicy
+    from repro.service.scheduler import run_cells
+    from repro.snapshot import Snapshot, fork
+    from repro.topo import Scenario, ScenarioBuilder, Station
+    from repro.topo import figures
 
 __all__ = [
     "AdaptiveSeeds",
@@ -99,12 +100,66 @@ __all__ = [
 ]
 
 
+#: Public name -> its defining module, imported on first access (PEP 562):
+#: a run loads the stack it simulates, not the sweep service or snapshots.
+_EXPORTS = {
+    "AdaptiveSeeds": "repro.service.policy",
+    "Cell": "repro.runner.cells",
+    "CellResult": "repro.runner.cells",
+    "ComparisonTable": "repro.analysis.tables",
+    "CsmaConfig": "repro.mac.csma",
+    "Experiment": "repro.experiments.base",
+    "ExperimentResult": "repro.experiments.base",
+    "FaultSchedule": "repro.fault.schedule",
+    "FixedSeeds": "repro.service.policy",
+    "Job": "repro.service.job",
+    "JobSpec": "repro.service.job",
+    "MacTiming": "repro.mac.timing",
+    "MacawMac": "repro.core.macaw",
+    "ProtocolConfig": "repro.core.config",
+    "ResultCache": "repro.runner.cache",
+    "RunProfile": "repro.core.config",
+    "Scenario": "repro.topo.builder",
+    "ScenarioBuilder": "repro.topo.builder",
+    "SeedPolicy": "repro.service.policy",
+    "Snapshot": "repro.snapshot.snapshot",
+    "Station": "repro.topo.station",
+    "WarmStart": "repro.core.config",
+    "active_profile": "repro.core.config",
+    "channel_utilization": "repro.analysis.metrics",
+    "expand_cells": "repro.runner.cells",
+    "experiment_ids": "repro.experiments.registry",
+    "fork": "repro.snapshot.fork",
+    "format_table": "repro.analysis.tables",
+    "jain_fairness": "repro.analysis.metrics",
+    "maca_config": "repro.core.config",
+    "macaw_config": "repro.core.config",
+    "run_cells": "repro.service.scheduler",
+    "throughput_timeseries": "repro.analysis.metrics",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name == "figures":
+        return import_module("repro.topo.figures")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name]), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
 def load_experiment(experiment: Union[str, Experiment]) -> Experiment:
     """The registered experiment driver for an id (``"table2"``, …).
 
     Passing an :class:`Experiment` instance returns it unchanged, so
     call sites can accept either form.
     """
+    from repro.experiments.base import Experiment
+    from repro.experiments.registry import get_experiment
+
     if isinstance(experiment, Experiment):
         return experiment
     return get_experiment(experiment)
@@ -140,7 +195,7 @@ def sweep(
     duration: Optional[float] = None,
     warmup: Optional[float] = None,
     jobs: int = 1,
-    job_dir: Any = DEFAULT_JOB_DIR,
+    job_dir: Any = None,
     cache: Optional[ResultCache] = None,
     collect_digests: bool = True,
     on_event: Any = None,
@@ -174,7 +229,8 @@ def sweep(
         Worker processes (1 = inline).  Purely a speed knob: the digest
         set is identical at any value.
     job_dir, cache:
-        Where the job journal and the result cache live.
+        Where the job journal and the result cache live (None:
+        :data:`~repro.service.job.DEFAULT_JOB_DIR` and no cache).
     collect_digests:
         Capture per-cell trace digests (the resume-equality contract).
     on_event:
@@ -183,6 +239,11 @@ def sweep(
         ``stop``, ``interrupted``, ``complete``), plus an ``interrupt``
         notice ``{"drain": n}`` when ^C starts a drain.
     """
+    from repro.core.config import RunProfile
+    from repro.service.job import DEFAULT_JOB_DIR, JobSpec
+    from repro.service.orchestrator import run_job
+    from repro.service.policy import FixedSeeds
+
     if policy is not None and seeds is not None:
         raise ValueError("pass either seeds or policy, not both")
     if policy is None:
@@ -201,5 +262,6 @@ def sweep(
         warmup=warmup,
         collect_digests=collect_digests,
     )
-    return run_job(spec, jobs=jobs, job_dir=job_dir, cache=cache,
-                   on_event=on_event)
+    return run_job(spec, jobs=jobs,
+                   job_dir=job_dir if job_dir is not None else DEFAULT_JOB_DIR,
+                   cache=cache, on_event=on_event)

@@ -64,6 +64,7 @@ class MildFactorAblation(Experiment):
             throughput = scenario.throughputs(warmup=warmup)
             table.add(variant, "total", sum(throughput.values()))
             table.add(variant, "jain", jain_fairness(list(throughput.values())))
+            del scenario, mac  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -107,6 +108,7 @@ class RtsDeferAblation(Experiment):
             scenario = fig5_exposed_pads(config=config, seed=seed).build().run(duration)
             for stream, pps in scenario.throughputs(warmup=warmup).items():
                 table.add(name, stream, pps)
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -148,6 +150,7 @@ class CopyingAblation(Experiment):
             for stream, pps in throughput.items():
                 table.add(name, stream, pps)
             table.add(name, "jain", jain_fairness(list(throughput.values())))
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -198,11 +201,13 @@ class PollingAblation(Experiment):
             throughput = scenario.throughputs(warmup=warmup)
             table.add(name, "six-pad cell total", sum(throughput.values()))
             table.add(name, "six-pad cell jain", jain_fairness(list(throughput.values())))
+            del scenario
 
             pair = fig5_exposed_pads(protocol=protocol, seed=seed)
             scenario = pair.build().run(duration)
             table.add(name, "two-cell border total",
                       sum(scenario.throughputs(warmup=warmup).values()))
+            del scenario
 
             builder = ScenarioBuilder(seed=seed, protocol=protocol)
             builder.add_base("B")
@@ -225,6 +230,7 @@ class PollingAblation(Experiment):
                 "P2-B", duration / 3 + 5.0, duration
             )
             table.add(name, "newcomer pad", newcomer)
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -286,6 +292,7 @@ class AckVariantsAblation(Experiment):
                 )
                 table.add(name, f"PER={rate:g}",
                           scenario.throughput("P-B", warmup=warmup))
+                del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -351,6 +358,7 @@ class CarrierSenseAblation(Experiment):
             scenario = fig5_exposed_pads(config=config, seed=seed).build().run(duration)
             for stream, pps in scenario.throughputs(warmup=warmup).items():
                 table.add(name, stream, pps)
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -404,6 +412,7 @@ class FailureDetectionAblation(Experiment):
                 scenario = fig3_six_pads(config=config, seed=seed).build().run(duration)
                 total = sum(scenario.throughputs(warmup=warmup).values())
                 table.add(name, f"timeout={label} slots", total)
+                del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:
@@ -477,6 +486,7 @@ class MulticastAblation(Experiment):
                 # stats count all deliveries including warm-up; good enough
                 # for the qualitative contrast.
                 table.add(name, f"delivered at {receiver}", delivered / duration)
+            del scenario, emit  # emit's default holds the scenario too
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

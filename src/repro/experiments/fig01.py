@@ -51,6 +51,7 @@ class Fig1HiddenExposed(Experiment):
             )
             for stream, pps in hidden.throughputs(warmup=warmup).items():
                 table.add(name, f"hidden {stream}", pps)
+            del hidden  # frees its trace before the next scenario is built
             exposed = (
                 fig1_exposed_terminal(protocol=protocol, config=config, seed=seed)
                 .build()
@@ -58,6 +59,7 @@ class Fig1HiddenExposed(Experiment):
             )
             for stream, pps in exposed.throughputs(warmup=warmup).items():
                 table.add(name, f"exposed {stream}", pps)
+            del exposed
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

@@ -45,6 +45,7 @@ class Fig8Leakage(Experiment):
             scenario = fig8_leakage(config=config, seed=seed).build().run(duration)
             for stream, pps in scenario.throughputs(warmup=warmup).items():
                 table.add(name, stream, pps)
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

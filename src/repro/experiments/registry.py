@@ -1,73 +1,58 @@
-"""Experiment registry: every reproduced table, figure and ablation."""
+"""Experiment registry: every reproduced table, figure and ablation.
+
+Each id maps to its driver class as ``"module:Class"``; the driver's
+module is imported when the id is first asked for, so running one
+experiment loads one driver.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.experiments.base import Experiment
-from repro.experiments.table01 import Table1
-from repro.experiments.table02 import Table2
-from repro.experiments.table03 import Table3
-from repro.experiments.table04 import Table4
-from repro.experiments.table05 import Table5
-from repro.experiments.table06 import Table6
-from repro.experiments.table07 import Table7
-from repro.experiments.table08 import Table8
-from repro.experiments.table09 import Table9
-from repro.experiments.table10 import Table10
-from repro.experiments.table11 import Table11
-from repro.experiments.fig01 import Fig1HiddenExposed
-from repro.experiments.fig08 import Fig8Leakage
-from repro.experiments.ablations import (
-    AckVariantsAblation,
-    CarrierSenseAblation,
-    CopyingAblation,
-    FailureDetectionAblation,
-    MildFactorAblation,
-    MulticastAblation,
-    PollingAblation,
-    RtsDeferAblation,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.base import Experiment
 
-_FACTORIES: Dict[str, Callable[[], Experiment]] = {
-    "table1": Table1,
-    "table2": Table2,
-    "table3": Table3,
-    "table4": Table4,
-    "table5": Table5,
-    "table6": Table6,
-    "table7": Table7,
-    "table8": Table8,
-    "table9": Table9,
-    "table10": Table10,
-    "table11": Table11,
-    "fig1": Fig1HiddenExposed,
-    "fig8": Fig8Leakage,
-    "ablation-mild-factor": MildFactorAblation,
-    "ablation-rts-defer": RtsDeferAblation,
-    "ablation-copying": CopyingAblation,
-    "ablation-multicast": MulticastAblation,
-    "ablation-failure-detection": FailureDetectionAblation,
-    "ablation-ack-variants": AckVariantsAblation,
-    "ablation-carrier-sense": CarrierSenseAblation,
-    "ablation-polling": PollingAblation,
+_DRIVERS: Dict[str, str] = {
+    "table1": "repro.experiments.table01:Table1",
+    "table2": "repro.experiments.table02:Table2",
+    "table3": "repro.experiments.table03:Table3",
+    "table4": "repro.experiments.table04:Table4",
+    "table5": "repro.experiments.table05:Table5",
+    "table6": "repro.experiments.table06:Table6",
+    "table7": "repro.experiments.table07:Table7",
+    "table8": "repro.experiments.table08:Table8",
+    "table9": "repro.experiments.table09:Table9",
+    "table10": "repro.experiments.table10:Table10",
+    "table11": "repro.experiments.table11:Table11",
+    "fig1": "repro.experiments.fig01:Fig1HiddenExposed",
+    "fig8": "repro.experiments.fig08:Fig8Leakage",
+    "ablation-mild-factor": "repro.experiments.ablations:MildFactorAblation",
+    "ablation-rts-defer": "repro.experiments.ablations:RtsDeferAblation",
+    "ablation-copying": "repro.experiments.ablations:CopyingAblation",
+    "ablation-multicast": "repro.experiments.ablations:MulticastAblation",
+    "ablation-failure-detection": "repro.experiments.ablations:FailureDetectionAblation",
+    "ablation-ack-variants": "repro.experiments.ablations:AckVariantsAblation",
+    "ablation-carrier-sense": "repro.experiments.ablations:CarrierSenseAblation",
+    "ablation-polling": "repro.experiments.ablations:PollingAblation",
 }
 
 
 def experiment_ids() -> List[str]:
     """All registered experiment ids, paper order first."""
-    return list(_FACTORIES)
+    return list(_DRIVERS)
 
 
 def get_experiment(exp_id: str) -> Experiment:
     """Instantiate the experiment with the given id."""
-    factory = _FACTORIES.get(exp_id)
-    if factory is None:
-        known = ", ".join(_FACTORIES)
+    target = _DRIVERS.get(exp_id)
+    if target is None:
+        known = ", ".join(_DRIVERS)
         raise KeyError(f"unknown experiment {exp_id!r}; known: {known}")
-    return factory()
+    module, _, name = target.partition(":")
+    return getattr(import_module(module), name)()
 
 
 def all_experiments() -> List[Experiment]:
     """Instantiate every registered experiment, paper order."""
-    return [factory() for factory in _FACTORIES.values()]
+    return [get_experiment(exp_id) for exp_id in _DRIVERS]

@@ -48,6 +48,7 @@ class Table1(Experiment):
             scenario = fig2_two_pads(config=config, seed=seed).build().run(duration)
             for stream, pps in scenario.throughputs(warmup=measure_from).items():
                 table.add(name, stream, pps, PAPER[name].get(stream))
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

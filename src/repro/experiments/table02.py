@@ -62,6 +62,7 @@ class Table2(Experiment):
             self.cts_timeouts[name] = sum(
                 scenario.station(f"P{i}").mac.stats.cts_timeouts for i in range(1, 7)
             )
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

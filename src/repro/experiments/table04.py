@@ -57,6 +57,7 @@ class Table4(Experiment):
                 row = f"PER={rate:g}"
                 table.add(name, row, scenario.throughput("P-B", warmup=warmup),
                           PAPER[name].get(row))
+                del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

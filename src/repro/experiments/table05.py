@@ -56,6 +56,7 @@ class Table5(Experiment):
             scenario = fig5_exposed_pads(config=config, seed=seed).build().run(duration)
             for stream, pps in scenario.throughputs(warmup=warmup).items():
                 table.add(name, stream, pps, PAPER[name].get(stream))
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

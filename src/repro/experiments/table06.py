@@ -49,6 +49,7 @@ class Table6(Experiment):
             scenario = fig6_reversed_flows(config=config, seed=seed).build().run(duration)
             for stream, pps in scenario.throughputs(warmup=warmup).items():
                 table.add(name, stream, pps, PAPER[name].get(stream))
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

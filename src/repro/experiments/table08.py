@@ -64,6 +64,7 @@ class Table8(Experiment):
             for stream in STREAMS:
                 pps = scenario.throughput(stream, warmup=measure_from)
                 table.add(name, stream, pps, PAPER[name].get(stream))
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def measurement_start(self, warmup: float) -> float:

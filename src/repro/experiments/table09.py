@@ -45,6 +45,7 @@ class Table9(Experiment):
             )
             table.add(name, "P-B", scenario.throughput("P-B", warmup=warmup),
                       PAPER[name]["P-B"])
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

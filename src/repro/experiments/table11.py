@@ -56,6 +56,7 @@ class Table11(Experiment):
             throughput = scenario.throughputs(warmup=warmup)
             for stream in ALL_STREAMS:
                 table.add(name, stream, throughput[stream], PAPER[name].get(stream))
+            del scenario  # frees its trace before the next variant is built
         return table
 
     def _check(self, table: ComparisonTable) -> Dict[str, bool]:

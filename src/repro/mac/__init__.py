@@ -18,11 +18,15 @@ MACA is configured on top of the machine in :mod:`repro.core.macaw`, so
 use the re-export at the ``repro`` top level.
 """
 
-from repro.mac.frames import Frame, FrameType, MULTICAST, I_DONT_KNOW
-from repro.mac.timing import MacTiming
-from repro.mac.base import BaseMac, MacState, MacStats
-from repro.mac.csma import CsmaMac, CsmaConfig
-from repro.mac.polling import PollingBaseMac, PollingConfig, PollingPadMac
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
+    from repro.mac.frames import Frame, FrameType, MULTICAST, I_DONT_KNOW
+    from repro.mac.timing import MacTiming
+    from repro.mac.base import BaseMac, MacState, MacStats
+    from repro.mac.csma import CsmaMac, CsmaConfig
+    from repro.mac.polling import PollingBaseMac, PollingConfig, PollingPadMac
 
 __all__ = [
     "Frame",
@@ -39,3 +43,30 @@ __all__ = [
     "PollingPadMac",
     "PollingConfig",
 ]
+
+#: Public name -> its defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "Frame": "repro.mac.frames",
+    "FrameType": "repro.mac.frames",
+    "MULTICAST": "repro.mac.frames",
+    "I_DONT_KNOW": "repro.mac.frames",
+    "MacTiming": "repro.mac.timing",
+    "BaseMac": "repro.mac.base",
+    "MacState": "repro.mac.base",
+    "MacStats": "repro.mac.base",
+    "CsmaMac": "repro.mac.csma",
+    "CsmaConfig": "repro.mac.csma",
+    "PollingBaseMac": "repro.mac.polling",
+    "PollingConfig": "repro.mac.polling",
+    "PollingPadMac": "repro.mac.polling",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name]), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,11 +14,15 @@ package provides:
   bounded below by the 0.5 s minimum RTO the paper leans on.
 """
 
-from repro.net.packets import NetPacket, DATA_PACKET_BYTES, TCP_ACK_BYTES
-from repro.net.traffic import CbrSource, PoissonSource, OnOffSource
-from repro.net.sink import Dispatcher, FlowRecorder
-from repro.net.udp import UdpStream
-from repro.net.tcp import TcpStream, TcpConfig
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
+    from repro.net.packets import NetPacket, DATA_PACKET_BYTES, TCP_ACK_BYTES
+    from repro.net.traffic import CbrSource, PoissonSource, OnOffSource
+    from repro.net.sink import Dispatcher, FlowRecorder
+    from repro.net.udp import UdpStream
+    from repro.net.tcp import TcpStream, TcpConfig
 
 __all__ = [
     "NetPacket",
@@ -33,3 +37,28 @@ __all__ = [
     "TcpStream",
     "TcpConfig",
 ]
+
+#: Public name -> its defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "NetPacket": "repro.net.packets",
+    "DATA_PACKET_BYTES": "repro.net.packets",
+    "TCP_ACK_BYTES": "repro.net.packets",
+    "CbrSource": "repro.net.traffic",
+    "PoissonSource": "repro.net.traffic",
+    "OnOffSource": "repro.net.traffic",
+    "Dispatcher": "repro.net.sink",
+    "FlowRecorder": "repro.net.sink",
+    "UdpStream": "repro.net.udp",
+    "TcpStream": "repro.net.tcp",
+    "TcpConfig": "repro.net.tcp",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name]), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -29,12 +29,16 @@ Quick start::
     t, backoff = scenario.metrics.series("mac.backoff", station="P1")
 """
 
-from repro.obs.aggregate import aggregate_files, bands
-from repro.obs.export import load_jsonl, write_csv, write_jsonl
-from repro.obs.probes import ScenarioMetrics, instrument_scenario
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.runtime import MetricsConfig
-from repro.obs.sampler import RingSeries, Sampler
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
+
+if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
+    from repro.obs.aggregate import aggregate_files, bands
+    from repro.obs.export import load_jsonl, write_csv, write_jsonl
+    from repro.obs.probes import ScenarioMetrics, instrument_scenario
+    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+    from repro.obs.runtime import MetricsConfig
+    from repro.obs.sampler import RingSeries, Sampler
 
 __all__ = [
     "Counter",
@@ -52,3 +56,31 @@ __all__ = [
     "write_csv",
     "write_jsonl",
 ]
+
+#: Public name -> its defining module, imported on first access (PEP 562).
+_EXPORTS = {
+    "aggregate_files": "repro.obs.aggregate",
+    "bands": "repro.obs.aggregate",
+    "load_jsonl": "repro.obs.export",
+    "write_csv": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+    "ScenarioMetrics": "repro.obs.probes",
+    "instrument_scenario": "repro.obs.probes",
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "MetricsConfig": "repro.obs.runtime",
+    "RingSeries": "repro.obs.sampler",
+    "Sampler": "repro.obs.sampler",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name]), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = ["GENESIS", "Journal", "JournalError", "chain_hash",
            "digest_set_hash"]
@@ -96,10 +96,6 @@ class Journal:
             self._tip = chain_hash(line)
             self._count += 1
         return records
-
-    def records(self) -> Iterator[Dict[str, Any]]:
-        """Iterate the verified records (convenience over :meth:`load`)."""
-        return iter(self.load())
 
     # ---------------------------------------------------------------- write
     def append(self, record: Dict[str, Any]) -> Dict[str, Any]:

@@ -41,6 +41,7 @@ from repro.core.config import RunProfile
 from repro.runner.cache import ResultCache, profile_hash
 from repro.runner.cells import Cell, CellResult
 from repro.runner.parallel import execute_cell
+from repro.topo.builder import import_build_modules
 
 __all__ = [
     "ATTEMPT_ENV",
@@ -191,6 +192,10 @@ class CellScheduler:
             # A NaN retry slot is never due: the cell would never run again.
             raise ValueError(f"backoff must be a finite number of seconds "
                              f">= 0, got {self.backoff_s!r}")
+        if self.jobs > 1:
+            # Workers fork from this process: import here, once, what
+            # every cell's build would otherwise import in its worker.
+            import_build_modules(self.profile)
         self._ctx = worker_context() if self.jobs > 1 else None
 
     # ------------------------------------------------------------- submit
@@ -322,13 +327,6 @@ class CellScheduler:
         return []
 
     # -------------------------------------------------------------- close
-    def drain(self) -> List[Reaped]:
-        """Finish every in-flight worker (no new dispatches); reap all."""
-        done: List[Reaped] = []
-        while self._running:
-            done.extend(self.reap(accept_new=False, timeout=0.2))
-        return done
-
     def close(self, terminate: bool = False) -> None:
         """Release workers.  ``terminate=True`` kills in-flight cells."""
         for flight in self._running:

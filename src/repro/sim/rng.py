@@ -13,7 +13,9 @@ from __future__ import annotations
 import zlib
 from typing import Dict
 
-import numpy as np
+# numpy imports numpy.random on first use; naming it here loads it with
+# the kernel, so a sweep's parent imports it once before it forks workers.
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 class RandomStreams:
@@ -26,10 +28,10 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
+        self._streams: Dict[str, Generator] = {}
         self._keys: Dict[int, str] = {}
 
-    def get(self, name: str) -> np.random.Generator:
+    def get(self, name: str) -> Generator:
         """Return (creating on first use) the generator for ``name``.
 
         Raises :class:`ValueError` when ``crc32(name)`` collides with a
@@ -48,8 +50,8 @@ class RandomStreams:
                     f"{owner!r} under crc32 (key {key}); the two would share "
                     f"one generator seed — rename one of them"
                 )
-            sequence = np.random.SeedSequence(entropy=(self.seed, key))
-            stream = np.random.default_rng(sequence)
+            sequence = SeedSequence(entropy=(self.seed, key))
+            stream = default_rng(sequence)
             self._streams[name] = stream
             self._keys[key] = name
         return stream

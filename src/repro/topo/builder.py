@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from importlib import import_module
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple,
 )
@@ -34,27 +35,23 @@ from repro.core.config import (
 )
 from repro.core.macaw import MacawMac
 from repro.mac.base import BaseMac
-from repro.mac.csma import CsmaConfig, CsmaMac
 from repro.mac.timing import MacTiming
 from repro.net.sink import FlowRecorder
-from repro.net.tcp import TcpStream
 from repro.net.udp import UdpStream
 from repro.phy.graph_medium import GraphMedium
-from repro.phy.grid_medium import GridMedium
 from repro.phy.medium import Medium
 from repro.phy.noise import PacketErrorModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace, TraceRecord
 from repro.topo.station import Station
-from repro.verify.conformance import (
-    ConformanceError,
-    ConformanceReport,
-    check_scenario,
-)
 
+# Protocols, media, transports and optional machinery that only some
+# builds use are imported on the branch that uses them, so a run loads
+# what it simulates; import_build_modules() loads them up front.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fault.inject import FaultInjector
     from repro.obs.probes import ScenarioMetrics
+    from repro.verify.conformance import ConformanceReport
 
 #: Default warm-up excluded from throughput measurements (§3: "a warmup
 #: period of 50 seconds").
@@ -114,7 +111,7 @@ def capturing(digests: bool = False, traces: bool = False,
 
 
 def _capture_run(scenario: "Scenario",
-                 report: Optional[ConformanceReport]) -> None:
+                 report: Optional["ConformanceReport"]) -> None:
     """Hand one finished run to every open :func:`capturing` block."""
     run = ScenarioRun()
     if any(c.digests for c in _captures):
@@ -150,7 +147,7 @@ class Scenario:
         #: conformance sanitizer and raises on protocol violations.
         self.sanitize = sanitize
         #: Report from the most recent :meth:`verify` / sanitized run.
-        self.conformance: Optional[ConformanceReport] = None
+        self.conformance: Optional["ConformanceReport"] = None
         #: Live metrics handle (:class:`repro.obs.probes.ScenarioMetrics`);
         #: None unless the builder instrumented this scenario.
         self.metrics: Optional["ScenarioMetrics"] = None
@@ -182,16 +179,20 @@ class Scenario:
         if _captures:
             _capture_run(self, report)
         if report is not None and not report.ok:
+            from repro.verify.conformance import ConformanceError
+
             raise ConformanceError(report)
         return self
 
-    def verify(self) -> ConformanceReport:
+    def verify(self) -> "ConformanceReport":
         """Replay the recorded trace through the conformance sanitizer.
 
         Requires tracing to have been enabled (``trace=True`` or
         ``sanitize=True`` on the builder); with tracing off the report is
         trivially empty.
         """
+        from repro.verify.conformance import check_scenario
+
         self.conformance = check_scenario(self)
         return self.conformance
 
@@ -385,8 +386,6 @@ class ScenarioBuilder:
                 timing=timing, queue_capacity=self.profile.queue_capacity,
             )
         if protocol == "maca":
-            # Imported here: repro.mac deliberately does not import maca at
-            # package level (see repro/mac/__init__.py).
             from repro.mac.maca import MacaMac
 
             return MacaMac(
@@ -395,6 +394,8 @@ class ScenarioBuilder:
                 timing=timing, queue_capacity=self.profile.queue_capacity,
             )
         if protocol == "csma":
+            from repro.mac.csma import CsmaConfig, CsmaMac
+
             return CsmaMac(
                 sim, medium, spec.name, position=spec.position,
                 config=config if config is not None else CsmaConfig(),
@@ -419,6 +420,10 @@ class ScenarioBuilder:
         """Materialize the scenario (idempotent: each call builds afresh)."""
         profile = self.profile
         sanitize = bool(profile.sanitize)  # already resolved by the profile
+        if sanitize:
+            # The checker runs after the simulation, but like every module
+            # a run uses it is imported before the first event.
+            import_module("repro.verify.conformance")
         traced = profile.trace or sanitize or any(
             c.digests or c.traces for c in _captures)
         sim = Simulator(
@@ -427,6 +432,8 @@ class ScenarioBuilder:
         if self.medium_kind == "graph":
             medium: Medium = GraphMedium(sim, bitrate_bps=profile.bitrate_bps)
         else:
+            from repro.phy.grid_medium import GridMedium
+
             medium = GridMedium(
                 sim, bitrate_bps=profile.bitrate_bps, **profile.grid_dict()
             )
@@ -452,17 +459,19 @@ class ScenarioBuilder:
             medium.add_noise_model(model)
 
         # Polling cells: each polling base learns the pads in its range.
-        from repro.mac.polling import PollingBaseMac, PollingPadMac
+        if any((spec.protocol or self.protocol) == "polling"
+               for spec in self._stations):
+            from repro.mac.polling import PollingBaseMac, PollingPadMac
 
-        for station in scenario.stations.values():
-            mac = station.mac
-            if not isinstance(mac, PollingBaseMac):
-                continue
-            for other in scenario.stations.values():
-                if isinstance(other.mac, PollingPadMac) and medium.in_range(
-                    mac, other.mac
-                ):
-                    mac.register_pad(other.name)
+            for station in scenario.stations.values():
+                mac = station.mac
+                if not isinstance(mac, PollingBaseMac):
+                    continue
+                for other in scenario.stations.values():
+                    if isinstance(other.mac, PollingPadMac) and medium.in_range(
+                        mac, other.mac
+                    ):
+                        mac.register_pad(other.name)
 
         for kind, params in self._streams:
             src = scenario.stations[params["src"]]
@@ -477,6 +486,8 @@ class ScenarioBuilder:
                     sim, src.mac, dst.mac, stream_id, params["rate_pps"], **extra
                 )
             else:
+                from repro.net.tcp import TcpStream
+
                 stream = TcpStream(
                     sim, src.dispatcher, dst.dispatcher, stream_id,
                     params["rate_pps"], recorder=recorder, **extra
@@ -516,3 +527,26 @@ class ScenarioBuilder:
 
             apply_warm_start(scenario, self, profile.warm_start)
         return scenario
+
+
+def import_build_modules(profile: RunProfile) -> None:
+    """Import every module :meth:`ScenarioBuilder.build` may import lazily.
+
+    That is every protocol, medium and transport a build can pick, plus
+    the sanitizer, probes, fault injector and snapshot store when
+    ``profile`` turns them on.  A process about to fork workers calls
+    this once, so no worker imports per cell what its parent could
+    import once.
+    """
+    names = ["repro.mac.csma", "repro.mac.maca", "repro.mac.polling",
+             "repro.net.tcp", "repro.phy.grid_medium"]
+    if profile.sanitize:
+        names.append("repro.verify.conformance")
+    if profile.metrics is not None:
+        names.append("repro.obs.probes")
+    if profile.faults is not None:
+        names.append("repro.fault.inject")
+    if profile.warm_start is not None:
+        names.append("repro.snapshot")
+    for name in names:
+        import_module(name)

@@ -1,9 +1,13 @@
 """Experiment registry and driver plumbing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import all_experiments, experiment_ids, get_experiment
+from repro.topo.builder import ScenarioBuilder
 
 
 def test_every_paper_table_is_registered():
@@ -71,3 +75,27 @@ def test_result_render_and_passed():
     rendered = result.render()
     assert "[PASS] a" in rendered
     assert "[FAIL] b" in rendered
+
+
+@pytest.mark.parametrize("exp_id", experiment_ids())
+def test_driver_frees_each_scenario_before_building_the_next(exp_id, monkeypatch):
+    # A driver that keeps its previous variant's scenario bound while it
+    # builds and runs the next one holds that run's whole trace (its
+    # simulator owns it): ~11 MB for Table 2's BEB variant at 30 s.
+    simulators, stale = [], []
+    build = ScenarioBuilder.build
+
+    def tracked(self):
+        gc.collect()
+        stale.extend(ref for ref in simulators if ref() is not None)
+        scenario = build(self)
+        simulators.append(weakref.ref(scenario.sim))
+        return scenario
+
+    monkeypatch.setattr(ScenarioBuilder, "build", tracked)
+    # Table 8 measures from t=120; the polling ablation's newcomer from
+    # duration/3 + 5 s.
+    duration = {"table8": 120.5, "ablation-polling": 8.0}.get(exp_id, 3.0)
+    get_experiment(exp_id).run(seed=1, duration=duration, warmup=1.0)
+    assert simulators
+    assert not stale

@@ -122,10 +122,10 @@ _FAKES = (FastContention, CrashOnce, AlwaysCrash, RaisesInside, ReportsPid)
 def fake_experiments():
     """Register the fast fakes for the duration of one test."""
     for cls in _FAKES:
-        registry._FACTORIES[cls.spec.exp_id] = cls
+        registry._DRIVERS[cls.spec.exp_id] = f"{cls.__module__}:{cls.__qualname__}"
     try:
         yield {cls.spec.exp_id: cls for cls in _FAKES}
     finally:
         for cls in _FAKES:
-            registry._FACTORIES.pop(cls.spec.exp_id, None)
+            registry._DRIVERS.pop(cls.spec.exp_id, None)
 

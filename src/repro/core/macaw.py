@@ -218,7 +218,7 @@ class MacawMac(BaseMac):
         if self.config.contention_jitter > 0.0:
             # Stations share no slot clock; phase jitter makes near-miss
             # draws physically overlap (see ProtocolConfig).
-            u = float(self.sim.streams.get(f"mac:{self.name}").random())
+            u = self.sim.streams.get(f"mac:{self.name}").random()
             delay += u * self.config.contention_jitter * self.timing.slot
         self._contend_timer.start(delay)
 

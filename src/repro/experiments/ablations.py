@@ -480,7 +480,6 @@ class MulticastAblation(Experiment):
 
             CbrSource(scenario.sim, emit, rate_pps=32.0, name=f"mcast-{name}")
             scenario.run(duration)
-            window = duration - warmup
             for receiver in ("R1", "R2"):
                 delivered = scenario.station(receiver).mac.stats.delivered
                 # stats count all deliveries including warm-up; good enough

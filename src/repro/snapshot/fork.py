@@ -2,12 +2,13 @@
 
 A fork builds a fresh scenario from (a clone of) the original builder,
 restores the snapshot into it, then perturbs exactly the state the
-caller names: designated RNG substreams are re-seeded from a
-salt-derived :class:`~numpy.random.SeedSequence`, and a restricted set
-of *non-physics* profile knobs may be swapped.  Physics knobs (timing,
-bitrate, topology, faults) are deliberately rejected — changing them
-would make the captured in-flight state (transmissions mid-air, armed
-timeouts) physically inconsistent with the world it restores into.
+caller names: designated RNG substreams take the state of a fresh
+:class:`~repro.sim.rng.Stream` seeded from ``(seed, crc32(name),
+0xF0BB, salt)``, and a restricted set of *non-physics* profile knobs
+may be swapped.  Physics knobs (timing, bitrate, topology, faults) are
+deliberately rejected — changing them would make the captured
+in-flight state (transmissions mid-air, armed timeouts) physically
+inconsistent with the world it restores into.
 Branch points that vary physics should snapshot before the divergence
 is *installed*, i.e. vary the builder and warm-start each variant
 separately.
@@ -19,8 +20,7 @@ import copy
 import zlib
 from typing import Any, Dict, Optional, Sequence
 
-import numpy as np
-
+from repro.sim.rng import Stream
 from repro.snapshot.registry import SnapshotError
 from repro.snapshot.snapshot import Snapshot
 
@@ -86,10 +86,8 @@ def fork(snapshot: Snapshot, builder: Any, *, salt: int = 0,
     seed = scenario.sim.streams.seed
     for name in streams:
         key = zlib.crc32(name.encode("utf-8"))
-        seq = np.random.SeedSequence(entropy=(seed, key, _FORK_DOMAIN, salt))  # repro-lint: allow=REPRO101 (derives the replacement stream)
-        fresh = np.random.default_rng(seq)  # repro-lint: allow=REPRO101 (state donor only)
-        gen = scenario.sim.streams.get(name)
-        gen.bit_generator.state = fresh.bit_generator.state
+        fresh = Stream((seed, key, _FORK_DOMAIN, salt))
+        scenario.sim.streams.get(name).state = fresh.state
     scenario.warm_start_info = {
         "forked": True,
         "salt": salt,

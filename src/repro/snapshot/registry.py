@@ -48,9 +48,9 @@ class SnapshotRegistry:
     def bind_streams(self, streams: Any) -> None:
         """Attach a :class:`~repro.sim.rng.RandomStreams` for rng tokens.
 
-        Numpy generators are cached by traffic sources and the fault
-        injector; rather than enumerating them up front, any generator
-        owned by ``streams`` maps to ``rng:<name>`` on capture and
+        Streams are cached by traffic sources and the fault injector;
+        rather than enumerating them up front, any stream owned by
+        ``streams`` maps to ``rng:<name>`` on capture and
         resolves through ``streams.get(name)`` on restore (which lazily
         re-derives the substream, whose state the kernel section of the
         snapshot then overwrites).
@@ -61,8 +61,8 @@ class SnapshotRegistry:
     def _refresh_rng_tokens(self) -> None:
         if self._streams is None:
             return
-        for name, gen in self._streams._streams.items():
-            self._by_id[id(gen)] = f"rng:{name}"
+        for name, stream in self._streams._streams.items():
+            self._by_id[id(stream)] = f"rng:{name}"
 
     # ------------------------------------------------------------ resolution
     def token_for(self, obj: Any) -> Optional[str]:

@@ -126,7 +126,7 @@ def capture_state(sim: Any, registry: SnapshotRegistry,
                             "or from a scheduled event boundary")
     entries = sim._queue.live_entries()
     rng_states = {
-        name: sim.streams._streams[name].bit_generator.state
+        name: sim.streams._streams[name].state
         for name in sorted(sim.streams._streams)
     }
     components: Dict[str, Dict[str, Any]] = {}
@@ -223,7 +223,7 @@ def restore_state(sim: Any, registry: SnapshotRegistry,
     # 4. RNG substreams.
     streams = sim.streams
     for name, state in payload["rng"]["states"].items():
-        streams.get(name).bit_generator.state = state
+        streams.get(name).state = state
 
     # 5. Fix-ups.
     _fix_timers(sim, registry, payload, policies)

@@ -533,10 +533,10 @@ def import_build_modules(profile: RunProfile) -> None:
     """Import every module :meth:`ScenarioBuilder.build` may import lazily.
 
     That is every protocol, medium and transport a build can pick, plus
-    the sanitizer, probes, fault injector and snapshot store when
-    ``profile`` turns them on.  A process about to fork workers calls
-    this once, so no worker imports per cell what its parent could
-    import once.
+    the sanitizer, probes, fault injector (with the ``numpy.random`` its
+    exponential draws load) and snapshot store when ``profile`` turns
+    them on.  A process about to fork workers calls this once, so no
+    worker imports per cell what its parent could import once.
     """
     names = ["repro.mac.csma", "repro.mac.maca", "repro.mac.polling",
              "repro.net.tcp", "repro.phy.grid_medium"]
@@ -545,7 +545,7 @@ def import_build_modules(profile: RunProfile) -> None:
     if profile.metrics is not None:
         names.append("repro.obs.probes")
     if profile.faults is not None:
-        names.append("repro.fault.inject")
+        names += ["repro.fault.inject", "numpy.random"]
     if profile.warm_start is not None:
         names.append("repro.snapshot")
     for name in names:

@@ -1,8 +1,12 @@
-"""Random stream registry: determinism and independence."""
+"""Random stream registry: determinism, independence and numpy parity."""
+
+import zlib
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, Stream
 
 
 def test_same_seed_and_name_reproduces_sequence():
@@ -103,3 +107,59 @@ def test_collision_guard_leaves_repeat_lookups_alone():
     streams = RandomStreams(seed=42)
     a = streams.get("mac:P1")
     assert streams.get("mac:P1") is a  # same name re-registers freely
+
+
+# Widths high - low of integers() draws, one or more per span class of
+# numpy's int64 path (span = width - 1): 0, 32-bit Lemire, exactly
+# 2**32 - 1 (a raw 32-bit draw), 64-bit Lemire.
+_WIDTHS = st.sampled_from([1, 2, 7, 1000, 2**31 + 5, 2**32 - 1, 2**32,
+                           2**32 + 1, 2**40 + 3, 2**62])
+_DRAWS = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("below"), st.integers(1, 2**63 - 1)),
+    st.tuples(st.just("integers"), st.integers(-2**40, 2**40), _WIDTHS),
+    st.just(("full",)),  # span 2**64 - 1: a raw 64-bit draw
+    st.tuples(st.just("size"), st.integers(-5, 5), _WIDTHS, st.integers(0, 4)),
+    st.tuples(st.just("exponential"), st.floats(0.01, 100.0)),
+    st.just(("state",)),
+)
+_SEEDS = st.one_of(st.sampled_from([0, 2**32, 2**64]), st.integers(0, 2**32 - 1),
+                   st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**100))
+
+
+def _draw(gen, draw):
+    """Apply one draw to a Stream or a numpy Generator; plain Python result."""
+    kind = draw[0]
+    if kind == "random":
+        return float(gen.random())
+    if kind == "below":
+        return int(gen.integers(draw[1]))
+    if kind == "integers":
+        low, width = draw[1:]
+        return int(gen.integers(low, low + width))
+    if kind == "full":
+        return int(gen.integers(-2**63, 2**63))
+    if kind == "size":
+        low, width, size = draw[1:]
+        return [int(v) for v in gen.integers(low, low + width, size=size)]
+    return float(gen.exponential(draw[1]))
+
+
+@given(seed=_SEEDS, name=st.text(max_size=12), draws=st.lists(_DRAWS, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_stream_matches_numpy_default_rng(seed, name, draws):
+    stream = RandomStreams(seed).get(name)
+    key = zlib.crc32(name.encode("utf-8"))
+    ref = np.random.default_rng(np.random.SeedSequence(entropy=(seed, key)))
+    assert stream.state == ref.bit_generator.state
+    for draw in draws:
+        if draw[0] == "state":
+            # Swap states across the two implementations: each must take
+            # the other's dict and carry on with the same sequence.
+            stream_state = stream.state
+            stream = Stream((0,))
+            stream.state = ref.bit_generator.state
+            ref.bit_generator.state = stream_state
+        else:
+            assert _draw(stream, draw) == _draw(ref, draw), draw
+        assert stream.state == ref.bit_generator.state

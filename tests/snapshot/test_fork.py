@@ -1,5 +1,8 @@
 """Branch-fork semantics: controlled divergence from one checkpoint."""
 
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.snapshot import FORKABLE_KNOBS, Snapshot, SnapshotError, fork
@@ -57,6 +60,17 @@ def test_different_salts_diverge():
     first = finish(fork(snap, builder, salt=1, streams=streams))
     second = finish(fork(snap, builder, salt=2, streams=streams))
     assert first != second
+
+
+@pytest.mark.parametrize("salt", [1, 2**40])
+def test_reseed_matches_numpy_seed_sequence(salt):
+    snap, builder = make_snapshot()
+    name = "traffic:P1-B"
+    scenario = fork(snap, builder, salt=salt, streams=(name,))
+    key = zlib.crc32(name.encode("utf-8"))
+    donor = np.random.default_rng(
+        np.random.SeedSequence(entropy=(4, key, 0xF0BB, salt)))
+    assert scenario.sim.streams.get(name).state == donor.bit_generator.state
 
 
 def test_unreseeded_fork_differs_from_reseeded():

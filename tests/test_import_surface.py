@@ -18,7 +18,7 @@ REPO = os.path.dirname(os.path.dirname(__file__))
 LAZY_MODULES = ["repro", "repro.api", "repro.obs", "repro.mac", "repro.net", "repro.phy"]
 
 #: Prints the modules loaded when the first ``Simulator.run`` starts and
-#: after a plain seed-1 Table 2 run.
+#: after a plain seed-1 run of the experiment named on the command line.
 _PLAIN_RUN = """
 import json, sys
 from repro import api
@@ -33,7 +33,7 @@ def first_run(self, *args, **kwargs):
     return run(self, *args, **kwargs)
 
 Simulator.run = first_run
-api.run("table2", seed=1, duration=2.0, warmup=1.0)
+api.run(sys.argv[1], seed=1, duration=2.0, warmup=1.0)
 print(json.dumps({"at_first_event": at_first_event[0], "after": sorted(sys.modules)}))
 """
 
@@ -81,7 +81,7 @@ def _fresh_python(script, *args):
 def _unused_by_plain_table2(module):
     """Whether a plain Table 2 run has no use for ``module``."""
     parts = module.split(".")
-    if parts[0] == "multiprocessing":
+    if parts[0] in ("multiprocessing", "numpy"):
         return True
     if parts[0] != "repro" or len(parts) == 1:
         return False
@@ -97,9 +97,15 @@ def _unused_by_plain_table2(module):
 
 
 def test_plain_run_imports_only_what_it_simulates():
-    seen = _fresh_python(_PLAIN_RUN)
+    seen = _fresh_python(_PLAIN_RUN, "table2")
     assert [m for m in seen["after"] if _unused_by_plain_table2(m)] == []
     # Everything the run needs is imported before its first event.
+    assert seen["at_first_event"] == seen["after"]
+
+
+def test_tcp_and_noise_run_loads_no_numpy():
+    seen = _fresh_python(_PLAIN_RUN, "table11")
+    assert [m for m in seen["after"] if m.split(".")[0] == "numpy"] == []
     assert seen["at_first_event"] == seen["after"]
 
 

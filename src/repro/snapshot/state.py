@@ -124,6 +124,12 @@ def capture_state(sim: Any, registry: SnapshotRegistry,
         raise SnapshotError("cannot capture while the kernel is "
                             "dispatching; capture between run() calls "
                             "or from a scheduled event boundary")
+    if "trace" in policies and not sim.trace.keeps_rows:
+        # Its running hasher does not pickle, and the rows it dropped
+        # could not be restored.
+        raise SnapshotError("cannot capture a trace kept only for its "
+                            "digest; build with trace=True, or with a "
+                            "warm_start, to snapshot a traced run")
     entries = sim._queue.live_entries()
     rng_states = {
         name: sim.streams._streams[name].state

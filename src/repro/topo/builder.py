@@ -99,8 +99,10 @@ def capturing(digests: bool = False, traces: bool = False,
     so this is how a caller gets per-scenario outputs out of a run.
     Blocks nest and every open block sees every run, in run order.  A
     block asking for ``digests`` or ``traces`` forces tracing on for
-    scenarios built inside it; use ``traces`` only for diagnosis — a
-    long run's records dwarf its digest.
+    scenarios built inside it.  Only ``traces`` keeps the records: under
+    ``digests`` alone the trace hashes its rows as they come and drops
+    them.  Use ``traces`` only for diagnosis — a long run's records dwarf
+    its digest.
     """
     capture = _Capture(digests, traces, metrics, [])
     _captures.append(capture)
@@ -187,9 +189,11 @@ class Scenario:
     def verify(self) -> "ConformanceReport":
         """Replay the recorded trace through the conformance sanitizer.
 
-        Requires tracing to have been enabled (``trace=True`` or
-        ``sanitize=True`` on the builder); with tracing off the report is
-        trivially empty.
+        Requires a trace that keeps its rows (``trace=True`` or
+        ``sanitize=True`` on the builder's profile, or a build inside
+        ``capturing(traces=True)``); with tracing off the report is
+        trivially empty, and a trace kept only for its digest raises the
+        ``RuntimeError`` its readers raise.
         """
         from repro.verify.conformance import check_scenario
 
@@ -424,11 +428,15 @@ class ScenarioBuilder:
             # The checker runs after the simulation, but like every module
             # a run uses it is imported before the first event.
             import_module("repro.verify.conformance")
-        traced = profile.trace or sanitize or any(
-            c.digests or c.traces for c in _captures)
-        sim = Simulator(
-            seed=self.seed, trace=Trace(enabled=traced), queue=profile.queue,
-        )
+        # Rows are kept whenever something can read them: a trace the
+        # profile asked for, the sanitizer's replay, a warm-start snapshot
+        # (it pickles the trace) or a capture of records.  A build traced
+        # only for its digest hashes its rows as they come and drops them.
+        readable = profile.trace or sanitize or any(c.traces for c in _captures)
+        digested = any(c.digests for c in _captures)
+        digest_only = digested and not readable and profile.warm_start is None
+        trace = Trace(enabled=readable or digested, keep_rows=not digest_only)
+        sim = Simulator(seed=self.seed, trace=trace, queue=profile.queue)
         if self.medium_kind == "graph":
             medium: Medium = GraphMedium(sim, bitrate_bps=profile.bitrate_bps)
         else:

@@ -3,8 +3,11 @@
 import hashlib
 import pickle
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.trace as trace_module
 from repro.core.macaw import STATE_SHAPE
@@ -150,26 +153,38 @@ def _record_positional(trace, time, category, station, detail):
 _FORMS = {"keyword": _record_keyword, "positional": _record_positional}
 
 
-def _traced(rows, form="keyword") -> Trace:
-    trace = Trace()
+def _traced(rows, form="keyword", keep_rows=True) -> Trace:
+    trace = Trace(keep_rows=keep_rows)
     for time, category, station, detail in rows:
         _FORMS[form](trace, time, category, station, detail)
     return trace
 
 
+#: Flush sizes that put a chunk boundary inside every case, and the default.
+_CHUNKS = (1, 2, 3, trace_module._DIGEST_CHUNK)
+
+
+def _check_both_forms_hash_the_reference(rows, monkeypatch):
+    """A kept trace and a digest-only one, each record form, every chunk."""
+    expected = _reference_digest(TraceRecord(*row) for row in rows)
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(trace_module, "_DIGEST_CHUNK", chunk)
+        for form in _FORMS:
+            kept = _traced(rows, form)
+            dropped = _traced(rows, form, keep_rows=False)
+            assert list(kept) == [TraceRecord(*row) for row in rows], form
+            assert kept.digest() == dropped.digest() == expected, (chunk, form)
+            assert len(dropped) == len(kept) == len(rows)
+
+
 @pytest.mark.parametrize("case", sorted(_CASES))
-def test_digest_matches_reference_rendering(case):
-    for form in _FORMS:
-        trace = _traced(_CASES[case], form)
-        assert trace.digest() == _reference_digest(trace), form
-        assert list(trace) == [TraceRecord(*row) for row in _CASES[case]], form
+def test_digest_matches_reference_rendering(case, monkeypatch):
+    _check_both_forms_hash_the_reference(_CASES[case], monkeypatch)
 
 
-def test_digest_matches_reference_across_mixed_shapes():
+def test_digest_matches_reference_across_mixed_shapes(monkeypatch):
     rows = [row for case in sorted(_CASES) for row in _CASES[case]]
-    for form in _FORMS:
-        trace = _traced(rows, form)
-        assert trace.digest() == _reference_digest(trace), form
+    _check_both_forms_hash_the_reference(rows, monkeypatch)
 
 
 def test_digest_of_empty_trace():
@@ -195,6 +210,82 @@ def test_digest_spans_more_than_one_hashing_chunk():
     assert len(rows) > getattr(trace_module, "_DIGEST_CHUNK", 1)
     trace = _traced(rows)
     assert trace.digest() == _reference_digest(trace)
+    assert _traced(rows, keep_rows=False).digest() == trace.digest()
+
+
+# ---------------------------------------------------------------- digest-only
+def test_digest_only_trace_digests_mid_stream_and_counts_every_row(monkeypatch):
+    monkeypatch.setattr(trace_module, "_DIGEST_CHUNK", 3)
+    rows = [row for case in sorted(_CASES) for row in _CASES[case]]
+    kept, dropped = Trace(), Trace(keep_rows=False)
+    for count, (time, category, station, detail) in enumerate(rows, 1):
+        for trace in (kept, dropped):
+            _record_positional(trace, time, category, station, detail)
+        assert dropped.digest() == kept.digest()
+        assert len(dropped) == len(kept) == count
+        assert len(dropped._rows) < 3
+    assert not dropped.keeps_rows and kept.keeps_rows
+
+
+def test_clearing_a_digest_only_trace_restarts_its_digest(monkeypatch):
+    monkeypatch.setattr(trace_module, "_DIGEST_CHUNK", 2)
+    trace = _traced(_CASES["shared-time-object"], keep_rows=False)
+    trace.clear()
+    assert len(trace) == 0
+    assert trace.digest() == Trace().digest() == hashlib.sha256().hexdigest()
+    rows = _CASES["float-times"]
+    for time, category, station, detail in rows:
+        _record_keyword(trace, time, category, station, detail)
+    assert trace.digest() == _traced(rows).digest()
+    assert not trace.keeps_rows
+
+
+def test_digest_only_trace_refuses_its_readers():
+    trace = _traced(_CASES["float-times"], keep_rows=False)
+    readers = [
+        lambda: list(trace),
+        trace.select,
+        lambda: trace.fields({"send": ("size",)}),
+        trace.counts,
+    ]
+    for read in readers:
+        with pytest.raises(RuntimeError, match=r"trace=True.*capturing\(traces=True\)"):
+            read()
+
+
+#: Time objects whose values collide (``0.0 == -0.0``, ``1 == 1.0 ==
+#: True``) and which are equal but distinct objects (the ``+ 0.0`` copies);
+#: a sequence draws indices into this list, so the same object recurs.
+_POOL = [0.0, -0.0, 1, 1.0, True, 0.1 + 0.2, 1e-07, 2.5]
+_POOL += [time + 0.0 for time in _POOL[5:]]
+
+_records = st.lists(
+    st.tuples(
+        st.integers(0, len(_POOL) - 1),
+        st.sampled_from(["send", "recv", "state"]),
+        st.sampled_from(["P1", "P2", "B"]),
+        st.dictionaries(st.sampled_from(["clean", "esn", "frm"]),
+                        st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
+                                  st.text(max_size=3)),
+                        max_size=3),
+        st.booleans(),  # digest after this record
+    ),
+    max_size=40,
+)
+
+
+@given(_records, st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_digest_only_trace_hashes_what_a_kept_trace_hashes(records, chunk):
+    with mock.patch.object(trace_module, "_DIGEST_CHUNK", chunk):
+        kept, dropped = Trace(), Trace(keep_rows=False)
+        for index, category, station, detail, check in records:
+            for trace in (kept, dropped):
+                _record_keyword(trace, _POOL[index], category, station, detail)
+            if check:
+                assert dropped.digest() == kept.digest()
+        assert dropped.digest() == kept.digest() == _reference_digest(kept)
+        assert len(dropped) == len(kept) == len(records)
 
 
 # ---------------------------------------------------------------- row store
@@ -241,6 +332,25 @@ def test_recv_record_retains_under_200_bytes(form):
     finally:
         tracemalloc.stop()
     assert retained / len(times) < 200
+
+
+def test_digest_only_trace_retains_under_two_chunks():
+    """A kept store retains about 130 bytes a recv row: 6.5 MB for these."""
+    shape, category, detail = _IN_TREE[1]
+    values = [detail[key] for key in shape.keys]
+    times = [i * 1e-3 for i in range(50_000)]
+    trace = Trace(keep_rows=False)
+    trace.record(0.0, category, "P1", shape, *values)  # first-call work outside the window
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for time in times:
+            trace.record(time, category, "P1", shape, *values)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == len(times) + 1
+    assert retained < 2 * trace_module._DIGEST_CHUNK * 130
 
 
 def test_shapes_are_interned_and_need_sorted_unique_keys():

@@ -11,6 +11,7 @@ import pytest
 
 from repro.fault.presets import get_preset
 from repro.snapshot import Snapshot, SnapshotError
+from repro.topo.builder import capturing
 from repro.topo.figures import fig2_two_pads
 
 HORIZON = 30.0
@@ -110,3 +111,18 @@ def test_capture_rejects_running_kernel():
     scenario.sim.schedule(1.0, mid_run)
     scenario.sim.run(until=2.0)
     assert "dispatching" in str(boom["error"])
+
+
+def test_capture_rejects_a_digest_only_trace():
+    """Before its first flush the trace would pickle and restore without
+    its digest prefix; after it, pickling the hasher would fail."""
+    builder = fig2_two_pads(protocol="macaw", seed=0)
+    builder.profile = builder.profile.but(sanitize=False)
+    with capturing(digests=True):
+        scenario = builder.build()
+    assert not scenario.sim.trace.keeps_rows
+    for until in (0.0, CAPTURE_AT):
+        scenario.sim.run(until=until)
+        with pytest.raises(SnapshotError, match="digest"):
+            Snapshot.capture(scenario, builder)
+    assert scenario.sim.trace._hashed.rows > 0

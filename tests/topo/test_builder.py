@@ -1,8 +1,10 @@
 """ScenarioBuilder: construction, wiring, events."""
 
+from contextlib import ExitStack
+
 import pytest
 
-from repro.core.config import RunProfile, maca_config, macaw_config
+from repro.core.config import RunProfile, WarmStart, maca_config, macaw_config
 from repro.core.macaw import MacawMac
 from repro.mac.csma import CsmaMac
 from repro.mac.maca import MacaMac
@@ -10,7 +12,7 @@ from repro.mac.timing import MacTiming
 from repro.phy.graph_medium import GraphMedium
 from repro.phy.grid_medium import GridMedium
 from repro.phy.noise import PacketErrorModel
-from repro.topo.builder import ScenarioBuilder
+from repro.topo.builder import ScenarioBuilder, capturing
 
 
 def two_station_builder(**kwargs):
@@ -163,3 +165,49 @@ def test_clique_rejects_undeclared_stations():
     builder.add_pad("P")
     with pytest.raises(ValueError, match="unknown station 'Q'"):
         builder.clique("B", "P", "Q")
+
+
+#: Which builds keep their trace rows: (profile knobs, capture blocks
+#: outermost first, rows kept).  Only a digest capture with nothing that
+#: reads rows drops them; a sweep cell, --digest and the golden pins are
+#: that case.
+_ROW_RULE = {
+    "digests": ({}, [{"digests": True}], False),
+    "trace": ({"trace": True}, [{"digests": True}], True),
+    "sanitize": ({"sanitize": True}, [{"digests": True}], True),
+    "warm-start": ({"warm_start": True}, [{"digests": True}], True),
+    "traces": ({}, [{"traces": True}], True),
+    "traces-in-digests": ({}, [{"digests": True}, {"traces": True}], True),
+    "digests-in-traces": ({}, [{"traces": True}, {"digests": True}], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROW_RULE))
+def test_only_a_digest_capture_drops_trace_rows(case, tmp_path):
+    knobs, blocks, keeps = _ROW_RULE[case]
+    knobs = {"sanitize": False, **knobs}
+    if knobs.pop("warm_start", False):
+        knobs["warm_start"] = WarmStart(at=2.0, store=str(tmp_path))
+    with ExitStack() as stack:
+        for block in blocks:
+            stack.enter_context(capturing(**block))
+        scenario = two_station_builder(profile=RunProfile(**knobs)).build()
+        assert scenario.sim.trace.enabled
+        assert scenario.sim.trace.keeps_rows is keeps
+        scenario.run(10.0)
+    reference = two_station_builder(profile=RunProfile(trace=True, sanitize=False))
+    assert scenario.sim.trace.digest() == reference.build().run(10.0).sim.trace.digest()
+
+
+def test_untraced_build_keeps_its_empty_rows_readable():
+    scenario = two_station_builder(profile=RunProfile(sanitize=False)).build().run(2.0)
+    assert not scenario.sim.trace.enabled
+    assert scenario.sim.trace.select() == []
+
+
+def test_digest_only_build_refuses_to_verify():
+    with capturing(digests=True):
+        scenario = two_station_builder(profile=RunProfile(sanitize=False)).build()
+    scenario.run(2.0)
+    with pytest.raises(RuntimeError, match=r"trace=True.*capturing\(traces=True\)"):
+        scenario.verify()

@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
     from repro.core import MacawMac, ProtocolConfig
     from repro.core.config import (
         RunProfile,
-        WarmStart,
         active_profile,
         maca_config,
         macaw_config,
@@ -55,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - the names resolve lazily below
     from repro.service.job import Job, JobSpec
     from repro.service.policy import AdaptiveSeeds, FixedSeeds, SeedPolicy
     from repro.service.scheduler import run_cells
-    from repro.snapshot import Snapshot, fork
     from repro.topo import Scenario, ScenarioBuilder, Station
     from repro.topo import figures
 
@@ -79,15 +77,12 @@ __all__ = [
     "Scenario",
     "ScenarioBuilder",
     "SeedPolicy",
-    "Snapshot",
     "Station",
-    "WarmStart",
     "active_profile",
     "channel_utilization",
     "expand_cells",
     "experiment_ids",
     "figures",
-    "fork",
     "format_table",
     "jain_fairness",
     "load_experiment",
@@ -101,7 +96,7 @@ __all__ = [
 
 
 #: Public name -> its defining module, imported on first access (PEP 562):
-#: a run loads the stack it simulates, not the sweep service or snapshots.
+#: a run loads the stack it simulates, not the sweep service.
 _EXPORTS = {
     "AdaptiveSeeds": "repro.service.policy",
     "Cell": "repro.runner.cells",
@@ -122,14 +117,11 @@ _EXPORTS = {
     "Scenario": "repro.topo.builder",
     "ScenarioBuilder": "repro.topo.builder",
     "SeedPolicy": "repro.service.policy",
-    "Snapshot": "repro.snapshot.snapshot",
     "Station": "repro.topo.station",
-    "WarmStart": "repro.core.config",
     "active_profile": "repro.core.config",
     "channel_utilization": "repro.analysis.metrics",
     "expand_cells": "repro.runner.cells",
     "experiment_ids": "repro.experiments.registry",
-    "fork": "repro.snapshot.fork",
     "format_table": "repro.analysis.tables",
     "jain_fairness": "repro.analysis.metrics",
     "maca_config": "repro.core.config",

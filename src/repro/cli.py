@@ -16,8 +16,6 @@ Usage::
     macaw-sim chaos noise-burst --duration 300 --metrics
     macaw-sim analyze src/repro
     macaw-sim analyze src/repro --format sarif --output analysis.sarif
-    macaw-sim snapshot table2 --at 50 --store snaps/
-    macaw-sim table2 --seeds 0,1,2,3 --warm-start snaps/@50
     macaw-sim sweep table2 table9 --seeds 0,1,2,3 --jobs 4
     macaw-sim sweep table2 --adaptive --epsilon 2.0 --max-seeds 16
     macaw-sim sweep --resume 3f9c2a1b04de
@@ -44,12 +42,6 @@ run, ready for ``python -m repro.obs.aggregate`` to band across seeds.
 enabled: every station's trace is replayed through the statechart and
 dialogue checker (:mod:`repro.verify.conformance`) and any violation is
 reported and fails the command.
-
-``snapshot`` pre-warms a keyed snapshot store (one warm-up simulation per
-experiment variant, captured at ``--at`` simulated seconds), and
-``--warm-start STORE[@T]`` makes every subsequent run fast-forward its
-warm-up through that store via :mod:`repro.snapshot` — results are
-byte-identical to cold runs, only the repeated warm-up work disappears.
 
 ``sweep`` runs the grid as a durable job (:mod:`repro.service`): the
 spec is digest-keyed, completed cells append to a chained journal, and
@@ -90,7 +82,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.core.config import RunProfile, WarmStart
+from repro.core.config import RunProfile
 from repro.experiments.base import Experiment, SeedSweepResult, check_horizon
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.runner import ResultCache, expand_cells
@@ -158,12 +150,10 @@ def _seeds(args: argparse.Namespace, default: str = "1") -> List[int]:
 def _add_horizon(parser: argparse.ArgumentParser,
                  duration: Optional[float] = None,
                  warmup: Optional[float] = None,
-                 unset: str = "experiment-specific",
                  warmup_flag: bool = True) -> None:
-    """``--duration``, and ``--warmup`` when ``warmup_flag``; ``unset``
-    says what a None default means."""
+    """``--duration``, and ``--warmup`` when ``warmup_flag``."""
     def default(value: Optional[float]) -> str:
-        return unset if value is None else f"{value:g}"
+        return "experiment-specific" if value is None else f"{value:g}"
 
     parser.add_argument(
         "--duration", type=float, default=duration,
@@ -333,24 +323,6 @@ def _experiments(selectors: Sequence[str], duration: Optional[float],
     return experiments
 
 
-def _parse_warm_start(spec: Optional[str]) -> Optional[WarmStart]:
-    """A :class:`WarmStart` from a ``--warm-start STORE[@T]`` value."""
-    if spec is None:
-        return None
-    store, _, at_text = spec.partition("@")
-    if not store:
-        raise ValueError(f"--warm-start needs a store directory, got {spec!r}")
-    try:
-        at = float(at_text) if at_text else 50.0
-    except ValueError:
-        raise ValueError(
-            f"--warm-start time must be a number, got {at_text!r}"
-        ) from None
-    from repro.snapshot import store_digest
-
-    return WarmStart(at=at, store=store, digest=store_digest(store))
-
-
 # ------------------------------------------------------------- subcommands
 def _cmd_run(argv: List[str]) -> int:
     """Run experiments; print each table with its checks."""
@@ -380,14 +352,6 @@ def _cmd_run(argv: List[str]) -> int:
     )
     _add_cache_dir(parser)
     _add_metrics(parser)
-    parser.add_argument(
-        "--warm-start", default=None, metavar="STORE[@T]",
-        help="fast-forward every run's warm-up through the snapshot "
-        "store at STORE, branching at T simulated seconds (default 50); "
-        "missing snapshots are created on first use ('macaw-sim "
-        "snapshot' pre-warms a store).  Results are byte-identical to "
-        "cold runs",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -401,8 +365,7 @@ def _cmd_run(argv: List[str]) -> int:
         interval = _metrics_interval(args)
         # The one profile of the invocation: it flows through run_cells
         # into every cell, serially or into each worker process.
-        profile = _profile(args, metrics=interval,
-                           warm_start=_parse_warm_start(args.warm_start))
+        profile = _profile(args, metrics=interval)
 
     cache = (ResultCache(args.cache_dir)
              if args.cache or args.cache_dir is not None else None)
@@ -536,70 +499,6 @@ def _cmd_chaos(argv: List[str]) -> int:
               "seed": args.seed, "duration": args.duration}, [dump])
             for protocol, dump in report.metrics.items()
         ])
-    return 0
-
-
-def _cmd_snapshot(argv: List[str]) -> int:
-    """Pre-warm a snapshot store: one warm-up per experiment variant.
-
-    Runs the selected experiments with a warm-start profile pointed at
-    ``--store``; every scenario variant a cell builds lands one keyed
-    ``*.snap`` file at ``--at`` simulated seconds.  Later sweeps passing
-    ``--warm-start STORE[@T]`` then restore instead of re-simulating the
-    warm-up.
-    """
-    parser = argparse.ArgumentParser(
-        prog="macaw-sim snapshot",
-        description="Capture warm-up snapshots for experiments into a "
-        "keyed store (see --warm-start).",
-    )
-    parser.add_argument(
-        "experiment", help="experiment id (see 'list'), or 'all'",
-    )
-    parser.add_argument(
-        "--at", type=float, default=50.0, metavar="T",
-        help="simulated seconds to capture at (default 50, the paper's "
-        "warm-up horizon)",
-    )
-    parser.add_argument(
-        "--store", default=".macaw_snapshots", metavar="DIR",
-        help="snapshot store directory (default .macaw_snapshots)",
-    )
-    _add_seeds(parser)
-    _add_horizon(parser, unset="--at + 10", warmup_flag=False)
-    _add_execution(parser)
-    args = parser.parse_args(argv)
-
-    duration = args.duration if args.duration is not None else args.at + 10.0
-    with _setup():
-        if not (math.isfinite(args.at) and args.at > 0):
-            raise ValueError(f"--at must be a finite number > 0, got {args.at!r}")
-        if duration <= args.at:
-            raise ValueError("--duration must exceed --at")
-        experiments = _experiments([args.experiment], duration, 0.0)
-        seeds = _seeds(args)
-        # Warm traced: the snapshot then carries the t<T records a
-        # --digest or sanitized sweep needs, and warm_key treats "traced
-        # however it was forced" as one key, so this store serves traced
-        # and digest-collecting runs alike.  Untraced sweeps warm their
-        # own (cheaper) snapshots on first use.
-        profile = _profile(args, trace=True,
-                           warm_start=WarmStart(at=args.at, store=args.store))
-
-    started = time.perf_counter()  # repro-lint: allow=REPRO102 (wall-time report)
-    cells = expand_cells(
-        [exp.spec.exp_id for exp in experiments], seeds,
-        duration=duration, warmup=0.0,
-    )
-    run_cells(cells, jobs=args.jobs, profile=profile)
-    elapsed = time.perf_counter() - started  # repro-lint: allow=REPRO102
-
-    store = Path(args.store)
-    snaps = sorted(store.glob("*.snap")) if store.is_dir() else []
-    print(f"{len(snaps)} snapshot(s) in {store}/ at t={args.at:g} "
-          f"({len(cells)} warming cells, {elapsed:.1f}s wall)")
-    for snap in snaps:
-        print(f"  {snap.name}")
     return 0
 
 
@@ -833,9 +732,9 @@ def _cmd_diff(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="macaw-sim diff",
         description="Differential execution oracle: run experiments under "
-        "a matrix of execution modes (queue backend x jobs x "
-        "snapshot-roundtrip x metrics) and require byte-identical "
-        "digests; bisect any mismatch to its first divergent event.",
+        "a matrix of execution modes (queue backend x jobs x metrics) "
+        "and require byte-identical digests; bisect any mismatch to its "
+        "first divergent event.",
     )
     parser.add_argument(
         "experiments", nargs="+",
@@ -845,7 +744,7 @@ def _cmd_diff(argv: List[str]) -> int:
     _add_horizon(parser)
     _add_matrix(parser, out="diff-repro.json")
     parser.add_argument("--full", action="store_true",
-                        help="full 16-point cross product instead of the "
+                        help="full 8-point cross product instead of the "
                         "baseline-plus-one-axis covering matrix")
     parser.add_argument("--no-bisect", action="store_true",
                         help="report digest mismatches without localizing")
@@ -981,7 +880,6 @@ _COMMANDS: Dict[str, Callable[[List[str]], int]] = {
     "verify-trace": _cmd_verify_trace,
     "chaos": _cmd_chaos,
     "analyze": _cmd_analyze,
-    "snapshot": _cmd_snapshot,
     "sweep": _cmd_sweep,
     "diff": _cmd_diff,
     "fuzz": _cmd_fuzz,

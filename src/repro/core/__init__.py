@@ -22,7 +22,6 @@ from repro.core.macaw import MacawMac
 from repro.core.config import (
     ProtocolConfig,
     RunProfile,
-    WarmStart,
     active_profile,
     ambient_profile,
     macaw_config,
@@ -40,7 +39,6 @@ __all__ = [
     "macaw_config",
     "ProtocolConfig",
     "RunProfile",
-    "WarmStart",
     "active_profile",
     "ambient_profile",
 ]

@@ -19,7 +19,7 @@ Two frozen dataclasses live here:
 
 * :class:`RunProfile` — every *run-level* knob (tracing, sanitizing,
   metrics, timing, queue capacity, bitrate, grid parameters, fault
-  schedule, warm start), and the only place to set one.  One profile
+  schedule), and the only place to set one.  One profile
   object flows unchanged through ``ScenarioBuilder``, ``Experiment.run``
   and ``service.run_cells``, and :meth:`RunProfile.digest` is what the
   result cache folds into its keys instead of ad-hoc config tuples.
@@ -211,33 +211,6 @@ def _normalize_metrics(value: Any) -> Optional[MetricsConfig]:
 
 
 @dataclass(frozen=True)
-class WarmStart:
-    """Warm-start directive: branch runs from a snapshot store.
-
-    Lives here (not in :mod:`repro.snapshot`) so the core profile can
-    carry it without a layering inversion; the snapshot subsystem reads
-    it, the profile only digests it.  ``store`` names a directory of
-    keyed ``*.snap`` files; ``at`` is the warm-up horizon the snapshot
-    is taken at; ``digest`` optionally pins the store's content hash
-    (:func:`repro.snapshot.warmstart.store_digest`) so cache keys track
-    snapshot contents, not just the intent to warm-start.
-    """
-
-    #: Simulated time the warm-up snapshot is captured at.
-    at: float
-    #: Directory holding (or receiving) the keyed snapshot files.
-    store: str
-    #: Optional content digest over the store's snapshots.
-    digest: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.at) and self.at > 0):
-            raise ValueError(
-                f"warm-start time must be a finite number > 0, got {self.at!r}"
-            )
-
-
-@dataclass(frozen=True)
 class RunProfile:
     """Every run-level knob of a scenario, as one immutable value.
 
@@ -288,10 +261,6 @@ class RunProfile:
     #: contract, but the digest still distinguishes them so perf
     #: comparisons never read each other's cache entries.
     queue: Optional[str] = None
-    #: Warm-start directive (:class:`WarmStart`); None runs cold from
-    #: t=0.  Participates in :meth:`digest` so warm-started results can
-    #: never collide with cold-run cache entries.
-    warm_start: Optional[WarmStart] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.bitrate_bps) and self.bitrate_bps > 0):
@@ -322,10 +291,6 @@ class RunProfile:
                 )
             if not self.faults:
                 object.__setattr__(self, "faults", None)
-        if self.warm_start is not None and not isinstance(self.warm_start, WarmStart):
-            raise TypeError(
-                f"warm_start expects a WarmStart or None, got {self.warm_start!r}"
-            )
 
     # -------------------------------------------------------------- sugar
     def but(self, **changes: Any) -> "RunProfile":
@@ -368,11 +333,6 @@ class RunProfile:
             },
             "faults": None if self.faults is None else self.faults.to_dict(),
             "queue": self.queue,
-            "warm_start": None if self.warm_start is None else {
-                "at": self.warm_start.at,
-                "store": self.warm_start.store,
-                "digest": self.warm_start.digest,
-            },
         }
 
     @classmethod
@@ -389,7 +349,6 @@ class RunProfile:
             from repro.fault.schedule import FaultSchedule
 
             faults = FaultSchedule.from_dict(faults)
-        warm = payload.get("warm_start")
         return cls(
             bitrate_bps=float(payload.get("bitrate_bps", 256_000.0)),
             queue_capacity=payload.get("queue_capacity"),
@@ -400,27 +359,17 @@ class RunProfile:
             metrics=None if metrics is None else MetricsConfig(**metrics),
             faults=faults,
             queue=payload.get("queue"),
-            warm_start=None if warm is None else WarmStart(
-                at=float(warm["at"]), store=str(warm["store"]),
-                digest=warm.get("digest"),
-            ),
         )
 
     def digest(self) -> str:
         """Stable content hash over every result-affecting knob.
 
         This is what :func:`repro.service.run_cells` folds into cache
-        keys: :meth:`to_dict` minus the warm-start store *path*.  Equal
-        keyed builds produce byte-identical snapshots wherever they are
-        stored; the content digest (when the caller pins one) and the
-        branch time are what distinguish results.  An empty fault
-        schedule was already normalized to None, so chaos sweeps and
-        plain sweeps share their baseline cache entries.
+        keys: a hash of :meth:`to_dict`.  An empty fault schedule was
+        already normalized to None, so chaos sweeps and plain sweeps
+        share their baseline cache entries.
         """
-        blob = self.to_dict()
-        if blob["warm_start"] is not None:
-            del blob["warm_start"]["store"]
-        text = json.dumps(blob, sort_keys=True, default=repr)
+        text = json.dumps(self.to_dict(), sort_keys=True, default=repr)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

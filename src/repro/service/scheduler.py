@@ -367,7 +367,7 @@ def run_cells(
         the runs — the equivalence contract between serial and parallel).
     profile:
         The :class:`~repro.core.config.RunProfile` every cell runs under
-        (sanitizer, metrics, faults, timing, warm start, …).  None adopts
+        (sanitizer, metrics, faults, timing, …).  None adopts
         the ambient profile (:func:`~repro.core.config.active_profile`)
         or defaults.
     """

@@ -123,17 +123,6 @@ class EventQueue(ABC):
     def __len__(self) -> int:
         """Total queued entries, dead ones included."""
 
-    def live_entries(self) -> List[QueueEntry]:
-        """All live entries in ascending ``(time, priority, seq)`` order.
-
-        Read-only: the queue is left untouched (no purging, no
-        compaction), so a snapshot capture mid-run cannot perturb the
-        subsequent delivery order.  Backends decide liveness exactly the
-        way their own purge paths do.
-        """
-        raise NotImplementedError(f"{self.name or type(self).__name__} "
-                                  "does not support snapshot capture")
-
     def _recycle(self, handle: EventHandle) -> None:
         """Return a purged pooled handle to the simulator's free list."""
         pool = self.pool

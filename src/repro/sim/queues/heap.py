@@ -102,8 +102,3 @@ class HeapQueue(EventQueue):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def live_entries(self) -> List[QueueEntry]:
-        # Same liveness test as _maybe_compact; sorting a heap list is
-        # cheap and leaves the heap invariant untouched (new list).
-        return sorted(entry for entry in self._entries if entry[3].pending)

@@ -241,17 +241,3 @@ class WheelQueue(EventQueue):
 
     def __len__(self) -> int:
         return self._size
-
-    def live_entries(self) -> List[QueueEntry]:
-        # Same liveness predicate as _compact's keep(): current seq, not
-        # cancelled, not fired.  Read-only — no purge, no recycle.
-        def alive(entry: QueueEntry) -> bool:
-            head = entry[3]
-            return (head.seq == entry[2] and not head._cancelled
-                    and not head._fired)
-
-        out = [entry for entry in self._cur if alive(entry)]
-        for bucket in self._buckets.values():
-            out.extend(entry for entry in bucket if alive(entry))
-        out.sort()
-        return out

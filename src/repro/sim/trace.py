@@ -58,8 +58,7 @@ class RecordShape:
     that key tuple, so every row of a shape shares one object and work
     done once per shape is looked up by identity.  Keys must be sorted
     and unique; a positional :meth:`Trace.record` passes its values in
-    this order.  A shape pickles as its keys and loading re-interns it,
-    so a restored trace's rows share the live process's shapes.
+    this order.
     """
 
     __slots__ = ("keys", "line")
@@ -82,9 +81,6 @@ class RecordShape:
             )
             _SHAPES[names] = shape
         return shape
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (RecordShape, (self.keys,))
 
     def __repr__(self) -> str:
         return f"RecordShape({self.keys!r})"
@@ -174,8 +170,7 @@ class Trace:
     """
 
     #: A digest-only trace's hashed prefix.  A trace that keeps its rows
-    #: reads this class default, so its state is ``enabled`` and ``_rows``
-    #: alone (what a snapshot captures).
+    #: reads this class default.
     _hashed: Optional[_Hashed] = None
 
     def __init__(self, enabled: bool = True, keep_rows: bool = True) -> None:

@@ -156,10 +156,6 @@ class Scenario:
         #: Installed fault injector (:mod:`repro.fault`); None unless the
         #: builder's profile carried a non-empty schedule.
         self.fault_injector: Optional["FaultInjector"] = None
-        #: Provenance of a warm-started or forked build (store key, snap
-        #: digest, branch time); None for a cold build.  Set by
-        #: :mod:`repro.snapshot`.
-        self.warm_start_info: Optional[Dict[str, Any]] = None
 
     def station(self, name: str) -> Station:
         return self.stations[name]
@@ -429,12 +425,12 @@ class ScenarioBuilder:
             # a run uses it is imported before the first event.
             import_module("repro.verify.conformance")
         # Rows are kept whenever something can read them: a trace the
-        # profile asked for, the sanitizer's replay, a warm-start snapshot
-        # (it pickles the trace) or a capture of records.  A build traced
-        # only for its digest hashes its rows as they come and drops them.
+        # profile asked for, the sanitizer's replay or a capture of
+        # records.  A build traced only for its digest hashes its rows as
+        # they come and drops them.
         readable = profile.trace or sanitize or any(c.traces for c in _captures)
         digested = any(c.digests for c in _captures)
-        digest_only = digested and not readable and profile.warm_start is None
+        digest_only = digested and not readable
         trace = Trace(enabled=readable or digested, keep_rows=not digest_only)
         sim = Simulator(seed=self.seed, trace=trace, queue=profile.queue)
         if self.medium_kind == "graph":
@@ -523,17 +519,6 @@ class ScenarioBuilder:
             from repro.obs.probes import instrument_scenario
 
             scenario.metrics = instrument_scenario(scenario, profile.metrics)
-
-        # Warm-start is the very last build step: with every component
-        # wired (including instrumentation), the scenario either fast-
-        # forwards by restoring a stored snapshot or runs the warm-up
-        # once and stores it.  Either way it comes back sitting at
-        # ``warm_start.at`` with state byte-identical to an uninterrupted
-        # run.
-        if profile.warm_start is not None:
-            from repro.snapshot import apply_warm_start
-
-            apply_warm_start(scenario, self, profile.warm_start)
         return scenario
 
 
@@ -541,10 +526,10 @@ def import_build_modules(profile: RunProfile) -> None:
     """Import every module :meth:`ScenarioBuilder.build` may import lazily.
 
     That is every protocol, medium and transport a build can pick, plus
-    the sanitizer, probes, fault injector (with the ``numpy.random`` its
-    exponential draws load) and snapshot store when ``profile`` turns
-    them on.  A process about to fork workers calls this once, so no
-    worker imports per cell what its parent could import once.
+    the sanitizer, probes and fault injector (with the ``numpy.random``
+    its exponential draws load) when ``profile`` turns them on.  A
+    process about to fork workers calls this once, so no worker imports
+    per cell what its parent could import once.
     """
     names = ["repro.mac.csma", "repro.mac.maca", "repro.mac.polling",
              "repro.net.tcp", "repro.phy.grid_medium"]
@@ -554,7 +539,5 @@ def import_build_modules(profile: RunProfile) -> None:
         names.append("repro.obs.probes")
     if profile.faults is not None:
         names += ["repro.fault.inject", "numpy.random"]
-    if profile.warm_start is not None:
-        names.append("repro.snapshot")
     for name in names:
         import_module(name)

@@ -38,7 +38,6 @@ __all__ = [
     "LAYER_ALLOWED_IMPORTS",
     "SUBTREE_ALLOWED_IMPORTS",
     "HOOK_EXCEPTIONS",
-    "PRIVATE_ACCESS_EXEMPT",
     "LAYER_GROUP",
     "classify_module",
     "module_package",
@@ -49,8 +48,7 @@ __all__ = [
 #: (``cli.py``, ``__init__.py``, ``__main__.py``) classify as ``""``.
 KNOWN_PACKAGES: FrozenSet[str] = frozenset({
     "sim", "phy", "mac", "core", "net", "topo", "experiments",
-    "analysis", "obs", "verify", "fault", "runner", "snapshot",
-    "service",
+    "analysis", "obs", "verify", "fault", "runner", "service",
 })
 
 _STACK_BELOW_NET = frozenset({"sim", "phy", "mac", "core"})
@@ -73,14 +71,6 @@ LAYER_ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "verify": frozenset({"sim", "mac", "core", "verify"}),
     "fault": frozenset({"sim", "phy", "core", "fault"}),
     "runner": frozenset(_STACK_ALL | {"experiments", "runner", ""}),
-    # Checkpoint/restore spans the whole stack by design: it captures
-    # every layer's state and keys warm-start stores off the runner's
-    # code-version hash.  It sits *above* runner (runner never imports
-    # snapshot; a cell's profile only carries core's WarmStart
-    # descriptor).
-    "snapshot": frozenset(
-        _STACK_ALL | {"fault", "obs", "runner", "snapshot"}
-    ),
     # The service layer owns the worker model (CellScheduler, run_cells)
     # and the sweep jobs built on it: it sits above runner (journal +
     # scheduler + seed policy) and round-trips whole run profiles (metrics
@@ -102,27 +92,17 @@ HOOK_EXCEPTIONS: FrozenSet[Tuple[str, str]] = frozenset({
     ("core/config.py", "obs"),
     ("core/config.py", "fault"),
     ("fault/report.py", "topo"),
-    # Warm-start hook: build() hands the finished scenario to the
-    # snapshot subsystem when the profile carries a WarmStart.
-    ("topo/builder.py", "snapshot"),
 })
 
 #: Subtrees whose modules get their own import surface, overriding their
 #: package's row above.  The differential oracle/fuzzer orchestrates the
-#: whole system — experiments, the runner, snapshots, fault schedules —
-#: exactly like the CLI does, but lives under ``verify`` because digest
-#: equality is a verification concern.  Keyed by repro-relative path
-#: prefix; first match wins.
+#: whole system — experiments, the runner, fault schedules — exactly
+#: like the CLI does, but lives under ``verify`` because digest equality
+#: is a verification concern.  Keyed by repro-relative path prefix;
+#: first match wins.
 SUBTREE_ALLOWED_IMPORTS: Dict[str, FrozenSet[str]] = {
     "verify/diff/": frozenset(KNOWN_PACKAGES | {""}),
 }
-
-#: Packages exempt from REPRO110's cross-layer *private attribute* check.
-#: The snapshot codec's whole job is serializing other layers' private
-#: state (queue entries, RNG internals, busy-interval accounting); a
-#: public accessor per field would be a parallel API mirroring every
-#: layer's internals.  Import discipline still applies to it in full.
-PRIVATE_ACCESS_EXEMPT: FrozenSet[str] = frozenset({"snapshot"})
 
 #: Packages sharing a rank (mutual private-attribute access is in-layer).
 LAYER_GROUP: Dict[str, str] = {

@@ -18,7 +18,7 @@ Module                      Rules
 :mod:`.layering`            REPRO110 layer DAG + cross-layer privates
 :mod:`.frozen`              REPRO111 frozen-dataclass mutation
 :mod:`.ordering`            REPRO112 order-sensitive set iteration
-:mod:`.persistence`         REPRO114 pickle-outside-snapshot
+:mod:`.persistence`         REPRO114 pickle without an allow pragma
 ==========================  ==============================================
 """
 

@@ -13,9 +13,6 @@ Two checks, both driven by :mod:`repro.verify.analysis.layers`:
   written (``self._name = ...``) by exactly one *other* layer group is a
   layering leak; the owning layer should grow a public accessor.
   ``._audible`` itself stays REPRO106's, to keep one finding per site.
-  Packages in :data:`~repro.verify.analysis.layers.PRIVATE_ACCESS_EXEMPT`
-  (the snapshot codec) skip this half only — their imports are still
-  checked.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from repro.verify.analysis.findings import Finding
 from repro.verify.analysis.layers import (
     HOOK_EXCEPTIONS,
     KNOWN_PACKAGES,
-    PRIVATE_ACCESS_EXEMPT,
     allowed_imports,
 )
 from repro.verify.analysis.project import ProjectIndex, module_fullname
@@ -87,9 +83,7 @@ def check_layering(
             " obs/verify/fault reached only via declared hook points"
             " (repro.verify.analysis.layers)",
         )
-    if project is None or package in PRIVATE_ACCESS_EXEMPT:
-        # The snapshot codec serializes other layers' private state by
-        # design; its import discipline is still checked above.
+    if project is None:
         return
     for event in facts.attr_events:
         if (

@@ -3,15 +3,13 @@
 Live simulator objects are full of things ``pickle`` silently gets
 wrong: callbacks bound into the event queue, RNG substreams whose
 identity (not just state) matters, process-global sequence counters,
-and cross-references that must survive as *the same object*.  The
-checkpoint subsystem (``repro/snapshot/``) exists precisely to handle
-all of that — its codec routes every registered component and RNG
-through stable tokens and re-encodes sets deterministically.
+and cross-references that must survive as *the same object*.  Nothing
+in the tree persists live simulator state.
 
-So ``pickle`` (and ``copyreg``, its customization surface) may be
-imported only inside ``repro/snapshot/``.  Everything else either uses
-the snapshot API or — for plain-data records like the result cache's
-``CellResult`` blobs — carries an explicit per-line allow pragma::
+So every import of ``pickle`` (or ``copyreg``, its customization
+surface) is a finding.  A module that pickles plain-data records — like
+the result cache's ``CellResult`` blobs — says so with an explicit
+per-line allow pragma::
 
     import pickle  # repro-lint: allow=REPRO114 (CellResult blobs, ...)
 
@@ -31,21 +29,11 @@ from repro.verify.analysis.registry import rule
 _PERSISTENCE_ROOTS = frozenset({"pickle", "copyreg"})
 
 
-def _in_snapshot_package(facts: ModuleFacts) -> bool:
-    if facts.package == "snapshot":
-        return True
-    # Fixture paths without a repro/ segment classify by leading package.
-    rel = facts.rel or ""
-    return rel.split("/")[0] == "snapshot"
-
-
 @rule("REPRO114", name="persistence",
-      summary="pickle/copyreg are confined to repro/snapshot/")
+      summary="pickle/copyreg imports need a per-line allow pragma")
 def check_persistence(
     facts: ModuleFacts, project: Optional[ProjectIndex]
 ) -> Iterator[Finding]:
-    if _in_snapshot_package(facts):
-        return
     for binding in facts.imports:
         if binding.type_checking:
             continue
@@ -53,8 +41,7 @@ def check_persistence(
             continue
         yield Finding(
             facts.path, binding.line, binding.col, "REPRO114",
-            f"direct '{binding.root}' use outside repro/snapshot/; serialize"
-            " simulator state through repro.snapshot (registered tokens,"
-            " deterministic set encoding) — or, for plain-data records,"
-            " add '# repro-lint: allow=REPRO114 (<why>)' on this line",
+            f"direct '{binding.root}' import; live simulator state does"
+            " not survive pickling — for plain-data records, add"
+            " '# repro-lint: allow=REPRO114 (<why>)' on this line",
         )

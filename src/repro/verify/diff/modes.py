@@ -1,9 +1,8 @@
 """Execution modes: the axes the differential oracle crosses.
 
 An :class:`ExecMode` names one point in the (queue backend × worker
-count × snapshot-roundtrip × metrics) space.  Every axis is documented
-as digest-neutral; the oracle's job is to catch the day that stops
-being true.
+count × metrics) space.  Every axis is documented as digest-neutral;
+the oracle's job is to catch the day that stops being true.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ class ExecMode:
     queue: str = "heap"
     #: Worker processes (1 = serial in-process).
     jobs: int = 1
-    #: Roundtrip the run through a mid-horizon snapshot capture/restore.
-    snapshot: bool = False
     #: Collect periodic metrics during the run.
     metrics: bool = False
 
@@ -40,12 +37,10 @@ class ExecMode:
 
     @property
     def label(self) -> str:
-        """Compact human label, e.g. ``"wheel+jobs2+snap"``."""
+        """Compact human label, e.g. ``"wheel+jobs2+metrics"``."""
         parts = [self.queue]
         if self.jobs > 1:
             parts.append(f"jobs{self.jobs}")
-        if self.snapshot:
-            parts.append("snap")
         if self.metrics:
             parts.append("metrics")
         return "+".join(parts)
@@ -53,8 +48,8 @@ class ExecMode:
     def apply(self, profile: RunProfile) -> RunProfile:
         """The profile with this mode's queue/metrics knobs applied.
 
-        The jobs and snapshot axes are *execution* choices, not profile
-        knobs — the oracle realizes them when it runs the cell.
+        The jobs axis is an *execution* choice, not a profile knob — the
+        oracle realizes it when it runs the cell.
         """
         return profile.but(
             queue=self.queue,
@@ -65,7 +60,6 @@ class ExecMode:
         return {
             "queue": self.queue,
             "jobs": self.jobs,
-            "snapshot": self.snapshot,
             "metrics": self.metrics,
         }
 
@@ -74,13 +68,12 @@ class ExecMode:
         return cls(
             queue=str(payload.get("queue", "heap")),
             jobs=int(payload.get("jobs", 1)),
-            snapshot=bool(payload.get("snapshot", False)),
             metrics=bool(payload.get("metrics", False)),
         )
 
 
 def default_matrix(queues: Sequence[str] = ("heap", "wheel")) -> List[ExecMode]:
-    """Baseline plus one-axis variants: covers every axis in 5 runs.
+    """Baseline plus one-axis variants: covers every axis in 4 runs.
 
     One divergent axis is enough to flag a bug; the full cross product
     is for post-mortem confirmation, not the smoke path.
@@ -89,20 +82,13 @@ def default_matrix(queues: Sequence[str] = ("heap", "wheel")) -> List[ExecMode]:
     matrix = [ExecMode(queue=base_queue)]
     matrix.extend(ExecMode(queue=q) for q in queues[1:])
     matrix.append(ExecMode(queue=base_queue, jobs=2))
-    matrix.append(ExecMode(queue=base_queue, snapshot=True))
     matrix.append(ExecMode(queue=base_queue, metrics=True))
     return matrix
 
 
 def full_matrix(queues: Sequence[str] = ("heap", "wheel")) -> List[ExecMode]:
-    """The full cross product: queue × jobs × snapshot × metrics."""
-    matrix = []
-    for queue in queues:
-        for jobs in (1, 2):
-            for snapshot in (False, True):
-                for metrics in (False, True):
-                    matrix.append(ExecMode(
-                        queue=queue, jobs=jobs,
-                        snapshot=snapshot, metrics=metrics,
-                    ))
-    return matrix
+    """The full cross product: queue × jobs × metrics."""
+    return [
+        ExecMode(queue=queue, jobs=jobs, metrics=metrics)
+        for queue in queues for jobs in (1, 2) for metrics in (False, True)
+    ]

@@ -10,25 +10,17 @@ Two granularities share the same mode matrix:
   ``build_builder(profile)``/``duration`` — the fuzzer's generated
   cases) under every mode in-process, which is what the bisector and
   shrinker need for fast replays.
-
-The snapshot axis is realized as a genuine capture/restore roundtrip:
-the first pass warms the store (straight-through + capture), the second
-restores from it, and the *restored* run's digest is the mode's answer —
-exactly the path PR 8's invariant promises is byte-identical.
 """
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.config import RunProfile, WarmStart
+from repro.core.config import RunProfile
 from repro.experiments.registry import get_experiment
 from repro.runner.cells import Cell, expand_cells
 from repro.service.scheduler import run_cells, run_in_worker
-from repro.snapshot import Snapshot
 from repro.topo.builder import ScenarioRun, capturing
 from repro.verify.diff.bisect import Replay
 from repro.verify.diff.modes import ExecMode, default_matrix
@@ -85,7 +77,6 @@ class DiffOracle:
         warmup: Optional[float] = None,
         profile: Optional[RunProfile] = None,
         modes: Optional[Sequence[ExecMode]] = None,
-        snap_store: Optional[str] = None,
     ) -> None:
         self.cells = [
             cell.resolved()
@@ -97,36 +88,11 @@ class DiffOracle:
         if len(self.modes) < 2:
             raise ValueError("the mode matrix needs at least two modes to compare")
         self.profile = profile if profile is not None else RunProfile()
-        #: Mid-horizon the snapshot axis roundtrips through — below every
-        #: cell's duration so capture always precedes the end of the run.
-        self.snap_at = min(cell.duration for cell in self.cells) / 2.0
-        self._snap_store = snap_store
-        self._tmp: Optional[tempfile.TemporaryDirectory] = None
-
-    def _store(self) -> str:
-        if self._snap_store is not None:
-            Path(self._snap_store).mkdir(parents=True, exist_ok=True)
-            return self._snap_store
-        if self._tmp is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="macaw-diff-snap-")
-        return self._tmp.name
 
     def digests_for(self, mode: ExecMode) -> List[Optional[str]]:
         """Per-cell digests (input cell order) under one execution mode."""
-        profile = mode.apply(self.profile)
-        if mode.snapshot:
-            warmed = profile.but(
-                warm_start=WarmStart(at=self.snap_at, store=self._store())
-            )
-            # Pass 1 warms the store (straight-through + capture) ...
-            run_cells(self.cells, jobs=mode.jobs, collect_digests=True,
-                      profile=warmed)
-            # ... pass 2 takes the restore path; its digests answer.
-            results = run_cells(self.cells, jobs=mode.jobs,
-                                collect_digests=True, profile=warmed)
-        else:
-            results = run_cells(self.cells, jobs=mode.jobs,
-                                collect_digests=True, profile=profile)
+        results = run_cells(self.cells, jobs=mode.jobs, collect_digests=True,
+                            profile=mode.apply(self.profile))
         return [result.digest for result in results]
 
     def check(self) -> OracleReport:
@@ -153,23 +119,11 @@ class DiffOracle:
         Replays run in-process regardless of the mode's ``jobs`` axis
         (a worker process cannot be horizon-shrunk record-by-record); a
         divergence that only manifests across process boundaries will
-        come back "did not reproduce" rather than mislocalized.  The
-        snapshot axis keeps its roundtrip whenever the horizon extends
-        past the capture point.
+        come back "did not reproduce" rather than mislocalized.
         """
-        applied = mode.apply(self.profile)
-        snap_at = self.snap_at
-        store = self._store() if mode.snapshot else None
+        profile = mode.apply(self.profile)
 
         def replay(horizon: float, traced: bool) -> List[ScenarioRun]:
-            profile = applied
-            if store is not None and horizon > snap_at:
-                profile = applied.but(
-                    warm_start=WarmStart(at=snap_at, store=store)
-                )
-                # Warm once so the measured replay is the restore path.
-                _run_experiment(cell.exp_id, cell.seed, horizon, profile,
-                                traced=False)
             return _run_experiment(cell.exp_id, cell.seed, horizon, profile,
                                    traced=traced)
 
@@ -249,25 +203,10 @@ class ScenarioOracle:
         return replay
 
 
-#: Snapshot-roundtrip point, as a fraction of the case duration.
-SNAP_FRACTION = 0.5
-
-
 def _run_case(case: Any, mode: ExecMode, profile: RunProfile,
               duration: float, traced: bool) -> ScenarioRun:
     """Run one scenario case in this process under one mode."""
-    applied = mode.apply(profile)
-    builder = case.build_builder(applied)
-    snap_at = float(case.duration) * SNAP_FRACTION
-    if mode.snapshot and duration > snap_at:
-        scenario = builder.build()
-        scenario.sim.run(until=snap_at)
-        snap = Snapshot.capture(scenario, builder)
-        scenario = builder.build()
-        snap.restore(scenario, builder)
-        scenario.run(duration)
-    else:
-        scenario = builder.build().run(duration)
+    scenario = case.build_builder(mode.apply(profile)).build().run(duration)
     return ScenarioRun(
         digest=scenario.sim.trace.digest(),
         records=list(scenario.sim.trace) if traced else None,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import RunProfile, WarmStart, active_profile, ambient_profile
+from repro.core.config import RunProfile, active_profile, ambient_profile
 from repro.fault import FaultSchedule, LinkFlap
 from repro.obs.runtime import MetricsConfig
 from repro.runner import Cell
@@ -42,14 +42,12 @@ def test_metrics_sugar_normalizes_to_config():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
 def test_non_finite_or_nonpositive_times_are_rejected(bad):
-    # NaN and inf pass a "<= 0" check: a sample or branch point at
-    # either is never reached, and a NaN bitrate fails deep in the build.
+    # NaN and inf pass a "<= 0" check: a sample at either is never
+    # reached, and a NaN bitrate fails deep in the build.
     with pytest.raises(ValueError):
         MetricsConfig(interval=bad)
     with pytest.raises(ValueError):
         RunProfile(metrics=bad)
-    with pytest.raises(ValueError):
-        WarmStart(at=bad, store="unused")
     with pytest.raises(ValueError):
         RunProfile(bitrate_bps=bad)
 
@@ -89,29 +87,21 @@ def _pinned_profiles():
 
     return [
         (RunProfile(queue="heap", sanitize=False),
-         "9b5272080ab51dc41465b7339817d722d41ff7b258b442babd810c066a321ca4"),
+         "de06effe1d7dba80a094ba872a9635c9ce94cbc85cde5c25c3262fce8e0fdd94"),
         (RunProfile(queue="heap", sanitize=True, trace=True, metrics=1.0,
                     faults=get_preset("churn-light")),
-         "887d8c9af08b9c09c8669feb12369e7d98653d13a5dff070eb4411a598e6f814"),
+         "2e8dc43abe64d723f3343c99911a9f3131de3a13c3c8b0c248258297ae885743"),
         (RunProfile(queue="wheel:0.01", sanitize=False,
                     timing=MacTiming(margin_slots=2.0),
                     grid_kwargs={"capture_db": 6.0,
-                                 "rx_threshold_distance_ft": 12.0},
-                    warm_start=WarmStart(at=40.0, store="snaps",
-                                         digest="0" * 16)),
-         "e8b27772efc2e20bfd4f0f3bcde9a392859fe2e32f2fb63d2c655942e2149dd6"),
+                                 "rx_threshold_distance_ft": 12.0}),
+         "8b28d45720eb188a4fe3743f0bb0aa77ba9b8dedec506aed19f39a9f35683233"),
     ]
 
 
 def test_digest_bytes_are_pinned():
     for profile, digest in _pinned_profiles():
         assert profile.digest() == digest, profile
-    # The store path is not digested: where a snapshot lives does not
-    # change what restoring it produces.
-    moved = _pinned_profiles()[2][0]
-    moved = moved.but(warm_start=WarmStart(at=40.0, store="elsewhere",
-                                           digest="0" * 16))
-    assert moved.digest() == _pinned_profiles()[2][1]
 
 
 def test_dict_round_trip():

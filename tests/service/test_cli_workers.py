@@ -1,4 +1,4 @@
-"""Worker failures through the CLI's run and ``snapshot`` paths.
+"""Worker failures through the CLI's run path.
 
 With ``--jobs N`` a dead worker or a raising cell ends the command with
 one ``macaw-sim:`` message and exit 1, as ``sweep`` does, instead of a
@@ -25,12 +25,4 @@ def _reported_once(capsys, expected):
 def test_run_reports_worker_failure(fake_experiments, deadline, capsys,
                                     exp_id, expected):
     assert main([exp_id, "--seeds", "0,1", "--jobs", "2"]) == 1
-    _reported_once(capsys, expected)
-
-
-@pytest.mark.parametrize("exp_id,expected", FAILURES)
-def test_snapshot_reports_worker_failure(fake_experiments, deadline, capsys,
-                                         tmp_path, exp_id, expected):
-    assert main(["snapshot", exp_id, "--seeds", "0,1", "--jobs", "2",
-                 "--store", str(tmp_path / "snaps")]) == 1
     _reported_once(capsys, expected)

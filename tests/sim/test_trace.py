@@ -1,7 +1,6 @@
 """Trace recorder behaviour."""
 
 import hashlib
-import pickle
 import tracemalloc
 from unittest import mock
 
@@ -363,17 +362,6 @@ def test_shapes_are_interned_and_need_sorted_unique_keys():
 def test_record_rejects_a_shape_mixed_with_keywords():
     with pytest.raises(TypeError):
         Trace().record(1.0, "state", "P1", STATE_SHAPE, "IDLE", "CONTEND", frm="IDLE")
-
-
-def test_pickle_round_trip_keeps_interned_shapes_and_digest():
-    rows = [row for case in sorted(_CASES) for row in _CASES[case]]
-    trace = _traced(rows, "positional")
-    copy = pickle.loads(pickle.dumps(trace))
-    assert copy.digest() == trace.digest()
-    assert list(copy) == list(trace)
-    assert len(copy._rows) == len(trace._rows)
-    assert all(a[-1] is b[-1] for a, b in zip(copy._rows, trace._rows))
-    assert pickle.loads(pickle.dumps(RECV_SHAPE)) is RECV_SHAPE
 
 
 def test_fields_reads_named_values_per_category():

@@ -19,16 +19,11 @@ ALLOWED = {
         "--seed", "--seeds", "--duration", "--warmup", "--no-paper",
         "--jobs", "--queue", "--faults", "--chaos", "--digest", "--cache",
         "--cache-dir", "--metrics", "--metrics-interval", "--metrics-out",
-        "--warm-start",
     },
     "verify-trace": {"--seed", "--duration", "--warmup"},
     "chaos": {
         "--faults", "--list", "--seed", "--duration", "--warmup",
         "--metrics", "--metrics-interval", "--metrics-out",
-    },
-    "snapshot": {
-        "--at", "--store", "--seed", "--seeds", "--duration", "--jobs",
-        "--queue", "--faults", "--chaos",
     },
     "sweep": {
         "--resume", "--list", "--seed", "--seeds", "--adaptive",
@@ -64,4 +59,4 @@ def test_usage_lists_exactly_the_allowed_options(command, capsys):
 
 
 def test_option_count():
-    assert sum(len(options) for options in ALLOWED.values()) == 78
+    assert sum(len(options) for options in ALLOWED.values()) == 68

@@ -86,7 +86,7 @@ def _unused_by_plain_table2(module):
     if parts[0] != "repro" or len(parts) == 1:
         return False
     package = parts[1]
-    if package in ("service", "runner", "snapshot", "fault", "verify"):
+    if package in ("service", "runner", "fault", "verify"):
         return True
     if package == "obs":
         return module != "repro.obs.runtime" and len(parts) > 2

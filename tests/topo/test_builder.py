@@ -4,7 +4,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro.core.config import RunProfile, WarmStart, maca_config, macaw_config
+from repro.core.config import RunProfile, macaw_config
 from repro.core.macaw import MacawMac
 from repro.mac.csma import CsmaMac
 from repro.mac.maca import MacaMac
@@ -175,7 +175,6 @@ _ROW_RULE = {
     "digests": ({}, [{"digests": True}], False),
     "trace": ({"trace": True}, [{"digests": True}], True),
     "sanitize": ({"sanitize": True}, [{"digests": True}], True),
-    "warm-start": ({"warm_start": True}, [{"digests": True}], True),
     "traces": ({}, [{"traces": True}], True),
     "traces-in-digests": ({}, [{"digests": True}, {"traces": True}], True),
     "digests-in-traces": ({}, [{"traces": True}, {"digests": True}], True),
@@ -183,11 +182,9 @@ _ROW_RULE = {
 
 
 @pytest.mark.parametrize("case", sorted(_ROW_RULE))
-def test_only_a_digest_capture_drops_trace_rows(case, tmp_path):
+def test_only_a_digest_capture_drops_trace_rows(case):
     knobs, blocks, keeps = _ROW_RULE[case]
     knobs = {"sanitize": False, **knobs}
-    if knobs.pop("warm_start", False):
-        knobs["warm_start"] = WarmStart(at=2.0, store=str(tmp_path))
     with ExitStack() as stack:
         for block in blocks:
             stack.enter_context(capturing(**block))

@@ -20,8 +20,8 @@ def _case() -> FuzzScenario:
 
 
 def test_scenario_oracle_mode_matrix_clean_on_stock_backends():
-    # Covers every axis: wheel queue, a worker process, a genuine snapshot
-    # capture/restore roundtrip, and metrics collection.
+    # Covers every axis: wheel queue, a worker process and metrics
+    # collection.
     oracle = ScenarioOracle(modes=default_matrix())
     assert oracle.check(_case()) is None
 
